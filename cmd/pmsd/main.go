@@ -74,9 +74,11 @@
 //
 //	pmsd -store-bench -bench-out BENCH_pr7.json
 //
-// Trace record/replay: -record FILE captures every mutating request
-// (method, path, tenant, body) into a checksummed PMSTRC1 trace file on
-// shutdown; -replay FILE replays a trace sequentially against a fresh
+// Trace record/replay: -record FILE tapes every /v1 POST (path, tenant,
+// body) in arrival order — read once, by the same capture point that
+// feeds the flight recorder, and with or without -no-flightrec — and
+// writes the tape as a checksummed PMSTRC1 trace file, headed by -seed,
+// on shutdown; -replay FILE replays a trace sequentially against a fresh
 // in-process deterministic server (coalescing and trace sampling off)
 // and prints the response digest — the same trace always yields the
 // same digest. Replay-bench mode records a Zipf-skewed multi-tenant
@@ -102,13 +104,15 @@
 //	pmsd -controller-bench -bench-out BENCH_pr9.json
 //
 // Forensics (internal/flightrec): an always-on flight recorder keeps
-// bounded rings of per-request events, periodic metric frames and
-// controller decisions, an SLO watchdog evaluates rolling windows
-// (p99 latency, error rate, per-tenant rejection share, migration
-// churn, and the must-be-zero theorem-bound rule), and on breach the
-// rings freeze into a checksummed PMSINC1 incident snapshot bundling a
-// replayable PMSTRC1 request window. GET /debug/snapshot serves a
-// manual snapshot; pmsdoctor analyzes and replays incident files.
+// bounded rings of per-request captures (the event plus the request
+// body, last 2048 requests), periodic metric frames and controller
+// decisions, an SLO watchdog evaluates rolling windows (p99 latency,
+// error rate, per-tenant rejection share, migration churn, and the
+// must-be-zero theorem-bound rule), and on breach the rings freeze into
+// a checksummed PMSINC1 incident snapshot whose event journal and
+// replayable PMSTRC1 request window come from the same captures.
+// GET /debug/snapshot serves a manual snapshot; pmsdoctor analyzes and
+// replays incident files.
 // Logs are structured (log/slog); -log-format picks text or json.
 // Forensics-bench mode prices the recorder on the serving hot path by
 // running the mixed workload with the recorder off and fully on:
@@ -127,8 +131,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"net/http"
 
 	"repro/internal/client"
 	"repro/internal/faultinject"
@@ -156,7 +158,7 @@ func main() {
 	clients := flag.Int("clients", 32, "loadgen: concurrent clients")
 	requests := flag.Int("requests", 20000, "loadgen: total request budget")
 	dist := flag.String("dist", "uniform", "loadgen: key distribution: uniform|zipf|sequential")
-	seed := flag.Int64("seed", 1, "loadgen: workload seed")
+	seed := flag.Int64("seed", 1, "loadgen: workload seed; serve mode: seed stamped into the -record trace header")
 	levels := flag.Int("levels", 20, "loadgen: tree levels of the queried mapping")
 	mExp := flag.Int("m", 4, "loadgen: canonical COLOR exponent (modules = 2^m - 1)")
 	benchOut := flag.String("bench-out", "", "loadgen/chaos-bench: write the JSON comparison snapshot to this file")
@@ -195,8 +197,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	noFlightRec := flag.Bool("no-flightrec", false, "disable the always-on flight recorder and SLO watchdog")
 	flightDir := flag.String("flightrec-dir", "", "directory for watchdog-triggered incident snapshots (empty: breaches are logged and counted but never written)")
-	flightEvents := flag.Int("flightrec-events", 0, "flight-recorder event ring size (0 = default 4096)")
-	flightWindow := flag.Int("flightrec-window", 0, "replayable request-window ring size bundled into incidents (0 = default 2048)")
 	sloWindow := flag.Duration("slo-window", 0, "SLO: rolling evaluation window (0 = default 10s)")
 	sloInterval := flag.Duration("slo-interval", 0, "SLO: watchdog tick cadence (0 = default 1s)")
 	sloP99 := flag.Duration("slo-p99", 0, "SLO: p99 total-latency target (0 disables the rule)")
@@ -321,8 +321,6 @@ func main() {
 
 		DisableFlightRec: *noFlightRec,
 		FlightRecDir:     *flightDir,
-		FlightRecEvents:  *flightEvents,
-		FlightRecWindow:  *flightWindow,
 		SLO: flightrec.SLOConfig{
 			Window:               *sloWindow,
 			Interval:             *sloInterval,
@@ -334,9 +332,6 @@ func main() {
 			SnapshotMinInterval:  *sloSnapshotEvery,
 		},
 		Logger: logger,
-	}
-	if *flightEvents < 0 || *flightWindow < 0 {
-		fail("-flightrec-events and -flightrec-window must be non-negative")
 	}
 	if *sloWindow < 0 || *sloInterval < 0 || *sloP99 < 0 || *sloSnapshotEvery < 0 {
 		fail("-slo-window, -slo-interval, -slo-p99 and -slo-snapshot-every must be non-negative")
@@ -633,8 +628,8 @@ func main() {
 					r.Mode+":", r.P50us, r.P95us, r.P99us, r.ReqPerSec, r.Requests)
 			}
 			fmt.Printf("p50 overhead with flight recorder: %+.2f%%\n", cmp.OnP50OverheadPct)
-			fmt.Printf("events %d (evicted %d), window recorded %d, breaches %d, bound violations %d\n",
-				cmp.Events, cmp.EventsEvicted, cmp.WindowRecorded, cmp.Breaches, cmp.BoundViolations)
+			fmt.Printf("events %d (evicted %d), breaches %d, bound violations %d\n",
+				cmp.Events, cmp.EventsEvicted, cmp.Breaches, cmp.BoundViolations)
 			if *benchOut != "" {
 				data, err := json.MarshalIndent(cmp, "", "  ")
 				if err != nil {
@@ -730,18 +725,10 @@ func main() {
 		}
 		logger.Info("pmsd CHAOS MODE: "+inj.String(), "seed", *chaosSeed)
 	}
-	var rec *replay.Recorder
 	if *recordFile != "" {
-		rec = replay.NewRecorder(replay.RecorderConfig{Seed: *seed})
-		// The recorder wraps outermost so the trace captures every offered
-		// request — including ones chaos or admission later refuses.
-		inner := cfg.Middleware
-		cfg.Middleware = func(next http.Handler) http.Handler {
-			if inner != nil {
-				next = inner(next)
-			}
-			return rec.Middleware(next)
-		}
+		// The capture point sits outside chaos and admission, so the tape
+		// holds every offered request, including ones later refused.
+		cfg.Tape = replay.NewTape(*seed)
 		logger.Info("pmsd recording mutating requests to "+*recordFile, "file", *recordFile)
 	}
 	if *storeDir != "" {
@@ -780,13 +767,12 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		fatal(fmt.Errorf("shutdown: %w", err))
 	}
-	if rec != nil {
-		stats := rec.Stats()
-		trace := rec.Close()
+	if cfg.Tape != nil {
+		trace, dropped := cfg.Tape.Trace()
 		if err := trace.Save(*recordFile); err != nil {
 			fatal(fmt.Errorf("saving trace: %w", err))
 		}
-		logger.Info("pmsd trace saved to "+*recordFile, "recorded", stats.Recorded, "dropped", stats.Dropped)
+		logger.Info("pmsd trace saved to "+*recordFile, "recorded", len(trace.Records), "dropped", dropped)
 	}
 	logger.Info("pmsd stopped")
 }

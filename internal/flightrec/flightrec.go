@@ -1,26 +1,30 @@
 // Package flightrec is pmsd's black box: an always-on, bounded flight
 // recorder plus SLO watchdog. It keeps rings of recent activity — one
-// per-request Event per served request (identity, stage timings,
-// cumulative conflict/bound counters at finish), periodic MetricFrame
-// snapshots of the server's counter surface, and controller Decision
-// events — and evaluates SLO rules over a rolling window on every tick.
-// When a rule newly breaches, the rings are frozen into a checksummed
-// PMSINC1 incident file (format.go) bundling the event journal,
-// before/after metric frames, the slowest-trace buffer, the controller's
-// last decisions and a PMSTRC1 replay trace of the window, so the
-// traffic that produced the anomaly can be re-driven deterministically
-// by cmd/pmsdoctor.
+// Capture per served request (the journal Event with identity, stage
+// timings and cumulative conflict/bound counters at finish, plus the
+// request body as received), periodic MetricFrame snapshots of the
+// server's counter surface, and controller Decision events — and
+// evaluates SLO rules over a rolling window on every tick. When a rule
+// newly breaches, the rings are frozen into a checksummed PMSINC1
+// incident file (format.go) bundling the event journal, before/after
+// metric frames, the slowest-trace buffer, the controller's last
+// decisions and a PMSTRC1 replay trace rebuilt from the same captures,
+// so the traffic that produced the anomaly can be re-driven
+// deterministically by cmd/pmsdoctor.
 //
 // Everything is bounded: the rings overwrite their oldest entries (the
 // eviction is counted, never silent), snapshot writes are rate-limited,
-// and recording an event is one mutex push of a by-value struct — no
-// per-event allocations beyond the strings the request already owns.
+// and recording a request is one mutex push of a by-value struct — no
+// per-request allocations beyond the strings and body the request
+// already owns.
 // The clock is injectable, so the watchdog's breach/recovery/rate-limit
 // semantics are tested against a deterministic timeline.
 package flightrec
 
 import (
+	"cmp"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +53,21 @@ type Event struct {
 	Conflicts       int64 `json:"conflicts"`
 	BoundChecks     int64 `json:"bound_checks"`
 	BoundViolations int64 `json:"bound_violations"`
+}
+
+// Capture is one request as the server's capture point saw it: the
+// journal Event plus the request as received. Incidents journal the
+// Events and rebuild their PMSTRC1 window from the Reqs of the same
+// ring, so both always name the same requests.
+type Capture struct {
+	Event
+	// Seq is the request's arrival order. Completion order can differ
+	// under concurrency; the window replays in arrival order.
+	Seq uint64
+	// Req is the request as received. Req.Body is nil when no body was
+	// captured (not a POST, or a body over the size cap or unreadable);
+	// such a request is journaled but not replayable.
+	Req replay.Record
 }
 
 // Decision is one controller decision event.
@@ -103,7 +122,8 @@ type MetricFrame struct {
 // Config tunes a Recorder. Zero values take the documented defaults.
 type Config struct {
 	// Events / Frames / Decisions size the three rings
-	// (defaults 4096 / 64 / 128).
+	// (defaults 2048 / 64 / 128). The events ring retains request
+	// bodies, so its size bounds the recorder's body memory.
 	Events    int
 	Frames    int
 	Decisions int
@@ -125,8 +145,6 @@ type Config struct {
 	Frame func() MetricFrame
 	// Traces supplies the slowest-trace buffer bundled into incidents.
 	Traces func() []obsv.TraceSnapshot
-	// Window supplies the replayable PMSTRC1 trace of recent traffic.
-	Window func() *replay.Trace
 	// Now is the watchdog clock (default time.Now) — injectable so rule
 	// semantics are testable on a deterministic timeline.
 	Now func() time.Time
@@ -137,7 +155,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Events <= 0 {
-		c.Events = 4096
+		c.Events = 2048
 	}
 	if c.Frames <= 0 {
 		c.Frames = 64
@@ -184,25 +202,15 @@ type tickSample struct {
 type Recorder struct {
 	cfg Config
 
-	evMu      sync.Mutex
-	events    []Event
-	evNext    int
-	evCount   int // live entries
-	evTotal   atomic.Int64
-	evEvicted atomic.Int64
+	evMu   sync.Mutex
+	events ring[Capture]
 
-	frMu    sync.Mutex
-	frames  []MetricFrame
-	frNext  int
-	frCount int
-	frTotal atomic.Int64
-	frLast  time.Time // last frame pushed into the ring
+	frMu   sync.Mutex
+	frames ring[MetricFrame]
+	frLast time.Time // last frame pushed into the ring
 
-	decMu    sync.Mutex
-	decs     []Decision
-	decNext  int
-	decCount int
-	decTotal atomic.Int64
+	decMu sync.Mutex
+	decs  ring[Decision]
 
 	// Watchdog state, guarded by wdMu: per-rule breached flags for
 	// recovery accounting, the tick-sample window for delta rules, and
@@ -230,30 +238,23 @@ func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
 		cfg:          cfg,
-		events:       make([]Event, cfg.Events),
-		frames:       make([]MetricFrame, cfg.Frames),
-		decs:         make([]Decision, cfg.Decisions),
+		events:       newRing[Capture](cfg.Events),
+		frames:       newRing[MetricFrame](cfg.Frames),
+		decs:         newRing[Decision](cfg.Decisions),
 		breached:     make(map[string]bool),
 		ruleBreaches: make(map[string]int64),
 	}
 }
 
-// RecordEvent pushes one request event into the ring, overwriting the
+// Record pushes one request capture into the ring, overwriting the
 // oldest when full. Nil-safe.
-func (r *Recorder) RecordEvent(ev Event) {
+func (r *Recorder) Record(c Capture) {
 	if r == nil {
 		return
 	}
 	r.evMu.Lock()
-	if r.evCount == len(r.events) {
-		r.evEvicted.Add(1)
-	} else {
-		r.evCount++
-	}
-	r.events[r.evNext] = ev
-	r.evNext = (r.evNext + 1) % len(r.events)
+	r.events.push(c)
 	r.evMu.Unlock()
-	r.evTotal.Add(1)
 }
 
 // RecordDecision pushes one controller decision event. Nil-safe.
@@ -262,16 +263,14 @@ func (r *Recorder) RecordDecision(d Decision) {
 		return
 	}
 	r.decMu.Lock()
-	if r.decCount == len(r.decs) {
-		// Oldest decision overwritten; decisions are a small audit ring,
-		// the eviction shows up as decTotal > len(snapshot).
-	} else {
-		r.decCount++
-	}
-	r.decs[r.decNext] = d
-	r.decNext = (r.decNext + 1) % len(r.decs)
+	r.decs.push(d)
 	r.decMu.Unlock()
-	r.decTotal.Add(1)
+}
+
+func (r *Recorder) captures() []Capture {
+	r.evMu.Lock()
+	defer r.evMu.Unlock()
+	return r.events.snapshot()
 }
 
 // EventsSnapshot copies the live events, oldest first.
@@ -279,14 +278,33 @@ func (r *Recorder) EventsSnapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	r.evMu.Lock()
-	defer r.evMu.Unlock()
-	out := make([]Event, 0, r.evCount)
-	start := (r.evNext - r.evCount + len(r.events)) % len(r.events)
-	for i := 0; i < r.evCount; i++ {
-		out = append(out, r.events[(start+i)%len(r.events)])
+	return journal(r.captures())
+}
+
+// journal extracts the Events of captures, in ring order.
+func journal(caps []Capture) []Event {
+	out := make([]Event, len(caps))
+	for i := range caps {
+		out[i] = caps[i].Event
 	}
 	return out
+}
+
+// window rebuilds the replayable trace from the captures that carry a
+// body, in arrival order.
+func window(caps []Capture) *replay.Trace {
+	var kept []Capture
+	for _, c := range caps {
+		if c.Req.Body != nil {
+			kept = append(kept, c)
+		}
+	}
+	slices.SortFunc(kept, func(a, b Capture) int { return cmp.Compare(a.Seq, b.Seq) })
+	tr := &replay.Trace{Records: make([]replay.Record, len(kept))}
+	for i, c := range kept {
+		tr.Records[i] = c.Req
+	}
+	return tr
 }
 
 // eventsSince copies the events with TS >= sinceUS, oldest first.
@@ -306,12 +324,7 @@ func (r *Recorder) FramesSnapshot() []MetricFrame {
 	}
 	r.frMu.Lock()
 	defer r.frMu.Unlock()
-	out := make([]MetricFrame, 0, r.frCount)
-	start := (r.frNext - r.frCount + len(r.frames)) % len(r.frames)
-	for i := 0; i < r.frCount; i++ {
-		out = append(out, r.frames[(start+i)%len(r.frames)])
-	}
-	return out
+	return r.frames.snapshot()
 }
 
 // DecisionsSnapshot copies the decision ring, oldest first.
@@ -321,12 +334,7 @@ func (r *Recorder) DecisionsSnapshot() []Decision {
 	}
 	r.decMu.Lock()
 	defer r.decMu.Unlock()
-	out := make([]Decision, 0, r.decCount)
-	start := (r.decNext - r.decCount + len(r.decs)) % len(r.decs)
-	for i := 0; i < r.decCount; i++ {
-		out = append(out, r.decs[(start+i)%len(r.decs)])
-	}
-	return out
+	return r.decs.snapshot()
 }
 
 // Counters reads the recorder's counter surface. Nil-safe.
@@ -335,16 +343,21 @@ func (r *Recorder) Counters() CountersSnapshot {
 		return CountersSnapshot{}
 	}
 	s := CountersSnapshot{
-		Events:               r.evTotal.Load(),
-		EventsEvicted:        r.evEvicted.Load(),
-		Frames:               r.frTotal.Load(),
-		Decisions:            r.decTotal.Load(),
 		Breaches:             r.breaches.Load(),
 		Recoveries:           r.recoveries.Load(),
 		Snapshots:            r.snapshots.Load(),
 		SnapshotErrors:       r.snapshotErrs.Load(),
 		SnapshotsRateLimited: r.rateLimited.Load(),
 	}
+	r.evMu.Lock()
+	s.Events, s.EventsEvicted = r.events.total, r.events.evicted
+	r.evMu.Unlock()
+	r.frMu.Lock()
+	s.Frames = r.frames.total
+	r.frMu.Unlock()
+	r.decMu.Lock()
+	s.Decisions = r.decs.total
+	r.decMu.Unlock()
 	r.ruleBreachesMu.Lock()
 	if len(r.ruleBreaches) > 0 {
 		s.RuleBreaches = make(map[string]int64, len(r.ruleBreaches))
@@ -367,15 +380,8 @@ func (r *Recorder) captureFrame(now time.Time) MetricFrame {
 	f.TS = now.UnixMicro()
 	r.frMu.Lock()
 	if r.frLast.IsZero() || now.Sub(r.frLast) >= r.cfg.FrameEvery {
-		if r.frCount == len(r.frames) {
-			// oldest frame overwritten
-		} else {
-			r.frCount++
-		}
-		r.frames[r.frNext] = f
-		r.frNext = (r.frNext + 1) % len(r.frames)
+		r.frames.push(f)
 		r.frLast = now
-		r.frTotal.Add(1)
 	}
 	r.frMu.Unlock()
 	return f
@@ -475,10 +481,12 @@ func (r *Recorder) writeBreachSnapshot(now time.Time, fired []Breach) {
 		"events", len(inc.Events), "rules", ruleNames(fired))
 }
 
-// Freeze assembles the current rings, trace buffer and replay window
-// into an Incident. The rings keep recording; the incident is
-// independent storage.
+// Freeze assembles the current rings and trace buffer into an Incident;
+// its event journal and replay window come from one snapshot of the
+// captures ring. The rings keep recording; the incident is independent
+// storage.
 func (r *Recorder) Freeze(now time.Time, reason string, breaches []Breach) *Incident {
+	caps := r.captures()
 	inc := &Incident{
 		Meta: IncidentMeta{
 			CreatedUS: now.UnixMicro(),
@@ -488,7 +496,8 @@ func (r *Recorder) Freeze(now time.Time, reason string, breaches []Breach) *Inci
 			Counters:  r.Counters(),
 			Meta:      r.cfg.Meta,
 		},
-		Events:    r.EventsSnapshot(),
+		Events:    journal(caps),
+		Trace:     window(caps),
 		Frames:    r.FramesSnapshot(),
 		Decisions: r.DecisionsSnapshot(),
 	}
@@ -497,9 +506,6 @@ func (r *Recorder) Freeze(now time.Time, reason string, breaches []Breach) *Inci
 	inc.Frames = append(inc.Frames, r.captureFrame(now))
 	if r.cfg.Traces != nil {
 		inc.Traces = r.cfg.Traces()
-	}
-	if r.cfg.Window != nil {
-		inc.Trace = r.cfg.Window()
 	}
 	return inc
 }

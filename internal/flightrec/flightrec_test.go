@@ -5,6 +5,7 @@
 package flightrec
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/replay"
 	"repro/internal/testutil"
 )
 
@@ -22,7 +24,7 @@ var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
 func TestEventRingOverwrite(t *testing.T) {
 	r := New(Config{Events: 4, Logger: quiet})
 	for i := 0; i < 6; i++ {
-		r.RecordEvent(Event{TS: int64(i), Status: 200})
+		r.Record(Capture{Event: Event{TS: int64(i), Status: 200}})
 	}
 	evs := r.EventsSnapshot()
 	if len(evs) != 4 {
@@ -36,6 +38,36 @@ func TestEventRingOverwrite(t *testing.T) {
 	c := r.Counters()
 	if c.Events != 6 || c.EventsEvicted != 2 {
 		t.Errorf("counters events=%d evicted=%d, want 6/2", c.Events, c.EventsEvicted)
+	}
+}
+
+// TestFreezeWindowInArrivalOrder: the incident's replay window is cut
+// from the same captures as its journal, keeps only the captures that
+// carry a body, and replays them in arrival order even when they
+// finished out of order.
+func TestFreezeWindowInArrivalOrder(t *testing.T) {
+	r := New(Config{Events: 4, Logger: quiet})
+	body := func(s string) replay.Record { return replay.Record{Path: "/v1/color", Body: []byte(s)} }
+	for _, c := range []Capture{
+		{Seq: 1, Req: body("evicted")},
+		{Seq: 3, Req: body("c")},
+		{Seq: 2, Req: body("b")},
+		{Seq: 5}, // no body captured: journaled, not replayable
+		{Seq: 4, Req: replay.Record{Path: "/v1/range", Body: []byte{}}},
+	} {
+		c.Event = Event{TS: int64(c.Seq), Status: 200}
+		r.Record(c)
+	}
+	inc := r.Freeze(time.UnixMicro(10), "manual", nil)
+	if len(inc.Events) != 4 || inc.Events[0].TS != 3 || inc.Events[3].TS != 4 {
+		t.Fatalf("journal %+v, want the last four captures in completion order", inc.Events)
+	}
+	var got []string
+	for _, rec := range inc.Trace.Records {
+		got = append(got, rec.Path+":"+string(rec.Body))
+	}
+	if want := "[/v1/color:b /v1/color:c /v1/range:]"; fmt.Sprint(got) != want {
+		t.Fatalf("window %v, want %s", got, want)
 	}
 }
 
@@ -66,7 +98,7 @@ func newTestRecorder(t *testing.T, slo SLOConfig, dir string) (*Recorder, time.T
 // and latency.
 func record(r *Recorder, ts time.Time, n, status int, totalUS int64, tenant string) {
 	for i := 0; i < n; i++ {
-		r.RecordEvent(Event{TS: ts.UnixMicro(), Status: status, TotalUS: totalUS, Tenant: tenant, Endpoint: "color"})
+		r.Record(Capture{Event: Event{TS: ts.UnixMicro(), Status: status, TotalUS: totalUS, Tenant: tenant, Endpoint: "color"}})
 	}
 }
 
@@ -251,7 +283,7 @@ func TestRingHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.RecordEvent(Event{TS: int64(i), Status: 200 + (i%2)*300, TotalUS: int64(i)})
+				r.Record(Capture{Event: Event{TS: int64(i), Status: 200 + (i%2)*300, TotalUS: int64(i)}})
 				if i%17 == 0 {
 					r.RecordDecision(Decision{TS: int64(i), Action: "hold"})
 				}
@@ -284,7 +316,7 @@ func TestRingHammer(t *testing.T) {
 // the recorder disabled without guarding call sites.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	r.RecordEvent(Event{})
+	r.Record(Capture{Event: Event{}})
 	r.RecordDecision(Decision{})
 	r.Start()
 	r.Stop()

@@ -66,8 +66,9 @@ type Incident struct {
 	Frames    []MetricFrame        `json:"frames,omitempty"`
 	Decisions []Decision           `json:"decisions,omitempty"`
 	Traces    []obsv.TraceSnapshot `json:"traces,omitempty"`
-	// Trace is the replayable PMSTRC1 window (nil when the server ran
-	// without a window recorder).
+	// Trace is the replayable PMSTRC1 window: the journaled requests that
+	// carried a body, in arrival order (nil when the incident file has
+	// no trace section).
 	Trace *replay.Trace `json:"-"`
 }
 

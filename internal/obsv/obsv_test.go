@@ -184,3 +184,78 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Errorf("snapshot not marshalable: %v", err)
 	}
 }
+
+// TestHistogramBucketBoundaries pins the power-of-two bucketing of
+// Histogram.Observe: bucket i holds v with bits.Len64(v) == i, labeled
+// by its inclusive upper bound 2^i - 1 ("inf" for the clamp bucket).
+// Every histogram pmsd serves (/debug/vars, /debug/requests, /metrics)
+// buckets through this type; any shift here would silently re-bucket
+// every dashboard reading them.
+func TestHistogramBucketBoundaries(t *testing.T) {
+	cases := []struct {
+		name  string
+		v     int64
+		label string
+	}{
+		{"zero", 0, "0"},
+		{"one", 1, "1"},
+		{"two is a power boundary", 2, "3"},
+		{"three tops bucket 2", 3, "3"},
+		{"four is a power boundary", 4, "7"},
+		{"seven tops bucket 3", 7, "7"},
+		{"eight is a power boundary", 8, "15"},
+		{"top of bucket 10", (1 << 10) - 1, "1023"},
+		{"power 2^10", 1 << 10, "2047"},
+		{"top of last finite bucket", (1 << 26) - 1, "67108863"},
+		{"first clamped power", 1 << 26, "inf"},
+		{"deep clamp", 1 << 40, "inf"},
+		{"negative clamps to zero", -5, "0"},
+	}
+	for _, tc := range cases {
+		var h Histogram
+		h.Observe(tc.v)
+		count, sum, buckets := h.Load()
+		if count != 1 {
+			t.Errorf("%s: count = %d, want 1", tc.name, count)
+		}
+		var landed []string
+		for i, c := range buckets {
+			for ; c > 0; c-- {
+				landed = append(landed, BucketLabel(i))
+			}
+		}
+		if len(landed) != 1 || landed[0] != tc.label {
+			t.Errorf("%s: Observe(%d) landed in %v, want bucket %q", tc.name, tc.v, landed, tc.label)
+		}
+		wantSum := tc.v
+		if wantSum < 0 {
+			wantSum = 0
+		}
+		if sum != wantSum {
+			t.Errorf("%s: sum = %d, want %d", tc.name, sum, wantSum)
+		}
+	}
+}
+
+// TestBucketLabels pins the label strings themselves, including the
+// clamp bucket.
+func TestBucketLabels(t *testing.T) {
+	cases := []struct {
+		i    int
+		want string
+	}{
+		{0, "0"},
+		{1, "1"},
+		{2, "3"},
+		{3, "7"},
+		{10, "1023"},
+		{20, "1048575"},
+		{26, "67108863"},
+		{NumBuckets - 1, "inf"},
+	}
+	for _, tc := range cases {
+		if got := BucketLabel(tc.i); got != tc.want {
+			t.Errorf("BucketLabel(%d) = %q, want %q", tc.i, got, tc.want)
+		}
+	}
+}

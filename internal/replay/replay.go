@@ -10,11 +10,9 @@
 //     the raw JSON body under its own CRC-32C. Truncation, bit flips and
 //     lying length prefixes are decode errors, never panics, and every
 //     allocation is validated against the remaining input first;
-//   - the Recorder: an http.Handler middleware that copies each POST
-//     body into a bounded ring buffer drained by a single background
-//     goroutine, so capture never blocks the serving hot path. When the
-//     ring is full the record is dropped and counted rather than
-//     stalling a request;
+//   - the Tape: the ordered list a whole run is recorded into. pmsd's
+//     capture point (internal/server) reads each request body once and
+//     appends it here on arrival, so recording costs one mutex append;
 //   - the Replayer: drives a handler with the recorded requests, one at
 //     a time in recorded order, folding every response into one SHA-256
 //     digest over (status, body) pairs. Sequential replay is the
@@ -36,7 +34,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -60,7 +57,7 @@ const (
 	// it is rejected before any allocation.
 	MaxFrame = 4 << 20
 
-	// TenantHeader is the HTTP header the recorder captures and the
+	// TenantHeader is the HTTP header the capture point records and the
 	// replayer restores, so per-tenant admission replays identically.
 	TenantHeader = "X-Tenant"
 )
@@ -228,152 +225,51 @@ func Load(path string) (*Trace, error) {
 	return Decode(data)
 }
 
-// RecorderConfig tunes a Recorder. Zero values take the defaults.
-type RecorderConfig struct {
-	// Seed is stamped into the trace header (the seed of the workload
-	// generator that produced the stream, for provenance).
-	Seed int64
-	// RingSize bounds the capture ring (default 4096 records). When the
-	// drainer falls behind and the ring fills, new records are dropped
-	// and counted — capture never blocks a request.
-	RingSize int
-	// MaxBody bounds one captured body (default 1 MiB); larger bodies
-	// pass through unrecorded and count as dropped.
-	MaxBody int64
+// Tape is the whole-run capture target behind pmsd -record: the
+// server's capture point appends each request on arrival, and Trace
+// returns the taped requests in that order. Unlike the flight
+// recorder's ring it is unbounded, because the run's trace file must
+// hold every request. Safe for concurrent use; a nil *Tape records
+// nothing.
+type Tape struct {
+	seed    int64
+	mu      sync.Mutex
+	records []Record
+	dropped int64
 }
 
-func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.RingSize <= 0 {
-		c.RingSize = 4096
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
-	}
-	return c
-}
+// NewTape starts an empty tape whose trace header carries seed (the
+// seed of the workload generator that produced the stream, for
+// provenance).
+func NewTape(seed int64) *Tape { return &Tape{seed: seed} }
 
-// RecorderStats counts the capture outcome.
-type RecorderStats struct {
-	Recorded int64 `json:"recorded"`
-	Dropped  int64 `json:"dropped"`
-}
-
-// Recorder captures POST requests flowing through an http.Handler into
-// a ring buffer drained by one background goroutine. Safe for arbitrary
-// handler concurrency; Close stops the drainer and returns the trace.
-type Recorder struct {
-	cfg RecorderConfig
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	ring   []Record // fixed-capacity ring storage
-	head   int      // next slot to read
-	count  int      // occupied slots
-	closed bool
-
-	recorded int64
-	dropped  int64
-
-	records []Record // drained, in arrival order
-	done    chan struct{}
-}
-
-// NewRecorder builds a recorder and starts its drainer.
-func NewRecorder(cfg RecorderConfig) *Recorder {
-	cfg = cfg.withDefaults()
-	rec := &Recorder{
-		cfg:  cfg,
-		ring: make([]Record, cfg.RingSize),
-		done: make(chan struct{}),
-	}
-	rec.cond = sync.NewCond(&rec.mu)
-	go rec.drain()
-	return rec
-}
-
-// Middleware wraps next with request capture. Only POST requests with a
-// readable body at or under MaxBody are recorded; everything is passed
-// through to next either way, with the body restored.
-func (rec *Recorder) Middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.Body == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, rec.cfg.MaxBody+1))
-		r.Body.Close()
-		if err != nil || int64(len(body)) > rec.cfg.MaxBody {
-			rec.drop()
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			next.ServeHTTP(w, r)
-			return
-		}
-		rec.offer(Record{Path: r.URL.Path, Tenant: r.Header.Get(TenantHeader), Body: body})
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		next.ServeHTTP(w, r)
-	})
-}
-
-// offer pushes one record into the ring, dropping (and counting) when
-// full or closed. Never blocks.
-func (rec *Recorder) offer(r Record) {
-	rec.mu.Lock()
-	if rec.closed || rec.count == len(rec.ring) {
-		rec.dropped++
-		rec.mu.Unlock()
+// Append tapes one request.
+func (t *Tape) Append(r Record) {
+	if t == nil {
 		return
 	}
-	rec.ring[(rec.head+rec.count)%len(rec.ring)] = r
-	rec.count++
-	rec.recorded++
-	rec.mu.Unlock()
-	rec.cond.Signal()
+	t.mu.Lock()
+	t.records = append(t.records, r)
+	t.mu.Unlock()
 }
 
-func (rec *Recorder) drop() {
-	rec.mu.Lock()
-	rec.dropped++
-	rec.mu.Unlock()
-}
-
-// drain moves records from the ring to the ordered slice until Close.
-func (rec *Recorder) drain() {
-	defer close(rec.done)
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	for {
-		for rec.count == 0 {
-			if rec.closed {
-				return
-			}
-			rec.cond.Wait()
-		}
-		r := rec.ring[rec.head]
-		rec.ring[rec.head] = Record{}
-		rec.head = (rec.head + 1) % len(rec.ring)
-		rec.count--
-		rec.records = append(rec.records, r)
+// Drop counts one request that could not be taped: its body was over
+// the size cap or could not be read.
+func (t *Tape) Drop() {
+	if t == nil {
+		return
 	}
+	t.mu.Lock()
+	t.dropped++
+	t.mu.Unlock()
 }
 
-// Stats returns the capture counters.
-func (rec *Recorder) Stats() RecorderStats {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return RecorderStats{Recorded: rec.recorded, Dropped: rec.dropped}
-}
-
-// Close stops capture, waits for the drainer to empty the ring, and
-// returns the trace. Records offered after Close are dropped.
-func (rec *Recorder) Close() *Trace {
-	rec.mu.Lock()
-	rec.closed = true
-	rec.mu.Unlock()
-	rec.cond.Signal()
-	<-rec.done
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return &Trace{Seed: rec.cfg.Seed, Records: rec.records}
+// Trace returns the requests taped so far, in arrival order, and how
+// many were dropped.
+func (t *Tape) Trace() (tr *Trace, dropped int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return &Trace{Seed: t.seed, Records: t.records[:len(t.records):len(t.records)]}, t.dropped
 }
 
 // Result summarizes one replay.

@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
-	"sync"
 	"testing"
-
-	"repro/internal/testutil"
 )
 
 func sampleTrace() *Trace {
@@ -97,116 +93,6 @@ func TestSaveLoad(t *testing.T) {
 	}
 	if !bytes.Equal(Encode(got), Encode(tr)) {
 		t.Fatal("Load round-trip differs from saved trace")
-	}
-}
-
-func TestRecorderCapturesInOrder(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	rec := NewRecorder(RecorderConfig{Seed: 7})
-	var served int
-	h := rec.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		// The middleware must restore the body for the handler.
-		if len(body) == 0 {
-			t.Error("handler saw an empty body")
-		}
-		served++
-		w.WriteHeader(http.StatusOK)
-	}))
-	srv := httptest.NewServer(h)
-	for i := 0; i < 5; i++ {
-		body := fmt.Sprintf(`{"i":%d}`, i)
-		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/color", bytes.NewBufferString(body))
-		req.Header.Set(TenantHeader, fmt.Sprintf("t%d", i%2))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		resp.Body.Close()
-	}
-	srv.Close()
-	tr := rec.Close()
-	if served != 5 {
-		t.Fatalf("handler served %d requests, want 5", served)
-	}
-	if tr.Seed != 7 {
-		t.Fatalf("trace seed = %d, want 7", tr.Seed)
-	}
-	if len(tr.Records) != 5 {
-		t.Fatalf("captured %d records, want 5", len(tr.Records))
-	}
-	for i, r := range tr.Records {
-		wantBody := fmt.Sprintf(`{"i":%d}`, i)
-		wantTenant := fmt.Sprintf("t%d", i%2)
-		if r.Path != "/v1/color" || string(r.Body) != wantBody || r.Tenant != wantTenant {
-			t.Errorf("record %d = %+v, want path=/v1/color body=%s tenant=%s", i, r, wantBody, wantTenant)
-		}
-	}
-	if st := rec.Stats(); st.Recorded != 5 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v, want 5 recorded / 0 dropped", st)
-	}
-}
-
-func TestRecorderSkipsNonPostAndOversized(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	rec := NewRecorder(RecorderConfig{MaxBody: 8})
-	h := rec.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-
-	get := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	h.ServeHTTP(httptest.NewRecorder(), get)
-
-	big := httptest.NewRequest(http.MethodPost, "/v1/color", bytes.NewBufferString(`{"nodes":[1,2,3]}`))
-	h.ServeHTTP(httptest.NewRecorder(), big)
-
-	small := httptest.NewRequest(http.MethodPost, "/v1/color", bytes.NewBufferString(`{"a":1}`))
-	h.ServeHTTP(httptest.NewRecorder(), small)
-
-	tr := rec.Close()
-	if len(tr.Records) != 1 || string(tr.Records[0].Body) != `{"a":1}` {
-		t.Fatalf("records = %+v, want only the small POST body", tr.Records)
-	}
-	if st := rec.Stats(); st.Recorded != 1 || st.Dropped != 1 {
-		t.Fatalf("stats = %+v, want 1 recorded / 1 dropped (oversized)", st)
-	}
-}
-
-// TestRecorderRingHammer pounds the ring from many concurrent writers
-// with a tiny ring so the full-drop path is exercised, then checks the
-// books balance and nothing leaks. Run under -race this doubles as the
-// ring's race check.
-func TestRecorderRingHammer(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	rec := NewRecorder(RecorderConfig{RingSize: 8})
-	h := rec.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		w.WriteHeader(http.StatusOK)
-	}))
-	const writers, perWriter = 16, 200
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/v1/color",
-					bytes.NewBufferString(fmt.Sprintf(`{"w":%d,"i":%d}`, w, i)))
-				h.ServeHTTP(httptest.NewRecorder(), req)
-			}
-		}(w)
-	}
-	wg.Wait()
-	tr := rec.Close()
-	st := rec.Stats()
-	if st.Recorded+st.Dropped != writers*perWriter {
-		t.Fatalf("recorded %d + dropped %d != %d offered", st.Recorded, st.Dropped, writers*perWriter)
-	}
-	if int64(len(tr.Records)) != st.Recorded {
-		t.Fatalf("trace holds %d records, stats say %d recorded", len(tr.Records), st.Recorded)
-	}
-	if st.Recorded == 0 {
-		t.Fatal("hammer recorded nothing")
 	}
 }
 

@@ -221,7 +221,7 @@ func (c *coalescer) runBatch(g *colorGroup) {
 			}
 		}
 		c.met.batchesFlushed.Add(1)
-		c.met.batchSize.observe(int64(len(g.jobs)))
+		c.met.batchSize.Observe(int64(len(g.jobs)))
 		if len(g.jobs) >= 2 {
 			c.met.coalescedJobs.Add(int64(len(g.jobs)))
 		}

@@ -58,8 +58,8 @@ func deterministicRule(rule string) bool {
 }
 
 // replayIncidentOnce drives the incident's trace through a fresh
-// deterministic server's full middleware chain (flight capture, window
-// recorder, rebuilt chaos) and judges the replayed events against the
+// deterministic server's full middleware chain (capture point, rebuilt
+// chaos) and judges the replayed events against the
 // incident's SLO config.
 func replayIncidentOnce(base Config, inc *flightrec.Incident, chaos *faultinject.Config) (replay.Result, []flightrec.Breach, int64, int64, error) {
 	cfg := replayServerConfig(base)

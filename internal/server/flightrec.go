@@ -1,21 +1,27 @@
-// Flight-recorder wiring: the always-on capture path that feeds
-// internal/flightrec from the serving stack.
+// Capture wiring: the one place a /v1 request is recorded, feeding the
+// flight recorder (internal/flightrec) and, under pmsd -record, the
+// run's replay.Tape.
 //
 // The capture middleware sits OUTERMOST — outside even the
 // fault-injection middleware — because chaos answers (500 bursts, 429s,
 // connection resets) never reach instrument()'s writer; the black box
 // must see the response the client saw, not the one the handlers
-// intended. Identity that only the inner layers know (endpoint name,
-// request ID, requested/effective mapping, per-stage timings) travels
-// outward through a pooled flightScratch carried on the request
-// context: instrument() and resolveSpec() fill it in, and the
-// middleware folds it into the Event after the handler chain returns.
+// intended, and a replayable trace must include the requests chaos
+// answered for itself. It reads each POST body once and hands the inner
+// layers an in-memory copy. Identity that only the inner layers know
+// (endpoint name, request ID, requested/effective mapping, per-stage
+// timings) travels outward through a pooled flightScratch carried on
+// the request context: instrument() and resolveSpec() fill it in, and
+// the middleware folds it into the Capture after the handler chain
+// returns.
 package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -25,6 +31,7 @@ import (
 
 	"repro/internal/flightrec"
 	"repro/internal/obsv"
+	"repro/internal/replay"
 )
 
 // flightEndpoints are the endpoint names aggregated into metric frames,
@@ -110,15 +117,24 @@ func endpointForPath(path string) string {
 	return pathCleaner.Replace(strings.TrimPrefix(path, "/v1/"))
 }
 
-// flightMiddleware is the outermost capture layer: one Event per served
-// /v1 request, whatever layer answered it.
-func (s *Server) flightMiddleware(next http.Handler) http.Handler {
+// captureMiddleware is the outermost capture layer: one Capture per
+// served /v1 request, whatever layer answered it.
+func (s *Server) captureMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/") {
 			next.ServeHTTP(w, r)
 			return
 		}
 		start := time.Now()
+		c := flightrec.Capture{Seq: s.arrivals.Add(1)}
+		if r.Method == http.MethodPost && r.Body != nil {
+			if body, ok := captureBody(r, s.cfg.MaxBodyBytes); ok {
+				c.Req = replay.Record{Path: r.URL.Path, Tenant: r.Header.Get(TenantHeader), Body: body}
+				s.cfg.Tape.Append(c.Req)
+			} else {
+				s.cfg.Tape.Drop()
+			}
+		}
 		fw := flightPool.Get().(*flightWriter)
 		*fw = flightWriter{ResponseWriter: w, status: http.StatusOK}
 		fs := &fw.fs
@@ -128,7 +144,7 @@ func (s *Server) flightMiddleware(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(outer, r.WithContext(context.WithValue(r.Context(), flightCtxKey{}, fs)))
 
-		ev := flightrec.Event{
+		c.Event = flightrec.Event{
 			TS:        s.cfg.flightNow().UnixMicro(),
 			RequestID: fs.requestID,
 			Tenant:    sanitizeTenant(r.Header.Get(TenantHeader)),
@@ -139,6 +155,7 @@ func (s *Server) flightMiddleware(next http.Handler) http.Handler {
 			TotalUS:   time.Since(start).Microseconds(),
 			StagesUS:  fs.stages,
 		}
+		ev := &c.Event
 		if ev.RequestID == "" {
 			ev.RequestID = r.Header.Get(obsv.HeaderRequestID)
 		}
@@ -150,13 +167,42 @@ func (s *Server) flightMiddleware(next http.Handler) http.Handler {
 		ev.Conflicts, ev.BoundChecks, ev.BoundViolations = s.dom.Counters()
 		fw.ResponseWriter = nil
 		flightPool.Put(fw)
-		s.fr.RecordEvent(ev)
+		s.fr.Record(c)
 		if s.logger.Enabled(r.Context(), slog.LevelDebug) {
 			s.logger.Debug("request",
 				"request_id", ev.RequestID, "tenant", ev.Tenant, "endpoint", ev.Endpoint,
 				"mapping", ev.Effective, "status", ev.Status, "total_us", ev.TotalUS)
 		}
 	})
+}
+
+// capturedBody replays a captured body to the handler: one allocation
+// in place of the NopCloser+Reader pair, on the hot path per request.
+type capturedBody struct{ bytes.Reader }
+
+func (*capturedBody) Close() error { return nil }
+
+// captureBody reads r's body once and swaps in an in-memory copy for the
+// handler. When the declared Content-Length is trusted (non-chunked,
+// within limit) the body is read into an exactly sized buffer that the
+// capture then owns; chunked or oversized bodies fall back to a bounded
+// drain, so no capture retains more than limit bytes. ok is false when
+// the body is over limit or could not be read in full: the handler then
+// gets what was read and reports the error itself.
+func captureBody(r *http.Request, limit int64) (body []byte, ok bool) {
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		body = make([]byte, n)
+		var read int
+		read, err = io.ReadFull(r.Body, body)
+		body = body[:read]
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, limit+1))
+	}
+	cb := &capturedBody{}
+	cb.Reset(body)
+	r.Body = cb
+	return body, err == nil && int64(len(body)) <= limit
 }
 
 // metricFrame assembles the cumulative counter surface the flight

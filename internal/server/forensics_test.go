@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,6 +141,15 @@ func TestForensicsBreachIncidentReplayLoop(t *testing.T) {
 	}
 	if len(inc.Events) != 60 {
 		t.Fatalf("incident bundles %d events, want 60", len(inc.Events))
+	}
+	// One capture per request: the traffic is sequential, so the journal
+	// and the replay window name the same requests index for index.
+	for i, rec := range inc.Trace.Records {
+		ev := inc.Events[i]
+		if endpointForPath(rec.Path) != ev.Endpoint || sanitizeTenant(rec.Tenant) != ev.Tenant {
+			t.Fatalf("trace record %d (%s, tenant %q) does not match event %d (%s, tenant %q)",
+				i, rec.Path, rec.Tenant, i, ev.Endpoint, ev.Tenant)
+		}
 	}
 	// Identity fields survive into the journal: tenants and the mapping
 	// actually served.
@@ -309,5 +319,177 @@ func TestFlightRecDisabled(t *testing.T) {
 	}
 	if fmt.Sprint(srv.FlightTick(time.Now())) != "[]" {
 		t.Error("FlightTick with recorder off returned breaches")
+	}
+}
+
+// colorBody is a valid singleton /v1/color request body, distinct per i.
+func colorBody(t *testing.T, i int) []byte {
+	t.Helper()
+	body, err := json.Marshal(ColorRequest{
+		Mapping: MappingSpec{Alg: "color", Levels: 10, M: 4},
+		Node:    &NodeRef{Index: int64(i % 8), Level: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestTapeRecordsWithFlightRecOff: a tape alone installs the capture
+// point. Every /v1 POST lands on it in arrival order with its tenant
+// and body, under the tape's seed; GETs and non-/v1 routes do not.
+func TestTapeRecordsWithFlightRecOff(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	tape := replay.NewTape(7)
+	srv := New(Config{DisableFlightRec: true, Tape: tape, MaxBatch: 1, FlushWindow: -1})
+	ts := httptest.NewServer(srv.httpSrv.Handler)
+	defer func() {
+		ts.Close()
+		shutdownTestServer(t, srv)
+	}()
+	if srv.FlightRecorder() != nil {
+		t.Fatal("DisableFlightRec left a live recorder")
+	}
+	for _, path := range []string{"/healthz", "/v1/color"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	var want []replay.Record
+	for i := 0; i < 5; i++ {
+		rec := replay.Record{Path: "/v1/color", Tenant: fmt.Sprintf("t%d", i%2), Body: colorBody(t, i)}
+		want = append(want, rec)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+rec.Path, bytes.NewReader(rec.Body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TenantHeader, rec.Tenant)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		// A 200 proves the handler got the body back after capture.
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+	tr, dropped := tape.Trace()
+	if tr.Seed != 7 || dropped != 0 {
+		t.Fatalf("tape seed %d dropped %d, want 7 and 0", tr.Seed, dropped)
+	}
+	if len(tr.Records) != len(want) {
+		t.Fatalf("tape holds %d records, want %d", len(tr.Records), len(want))
+	}
+	for i, rec := range tr.Records {
+		if rec.Path != want[i].Path || rec.Tenant != want[i].Tenant || !bytes.Equal(rec.Body, want[i].Body) {
+			t.Errorf("tape record %d = %s %q %s, want %s %q %s",
+				i, rec.Path, rec.Tenant, rec.Body, want[i].Path, want[i].Tenant, want[i].Body)
+		}
+	}
+}
+
+// TestCaptureOversizedBody: a body over MaxBodyBytes is still served
+// (413) and journaled as a flight event, but it is not replayable: no
+// trace record, and one tape drop.
+func TestCaptureOversizedBody(t *testing.T) {
+	tape := replay.NewTape(1)
+	small := colorBody(t, 1)
+	srv := New(Config{Tape: tape, MaxBodyBytes: int64(len(small)), MaxBatch: 1, FlushWindow: -1})
+	defer shutdownTestServer(t, srv)
+	big := append(bytes.Repeat([]byte(" "), len(small)), small...)
+	for _, body := range [][]byte{small, big} {
+		rr := httptest.NewRecorder()
+		srv.httpSrv.Handler.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/color", bytes.NewReader(body)))
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusRequestEntityTooLarge}[len(body) == len(small)]; rr.Code != want {
+			t.Fatalf("%d-byte body: status %d, want %d", len(body), rr.Code, want)
+		}
+	}
+	inc := srv.FlightRecorder().Freeze(time.Now(), "manual", nil)
+	if len(inc.Events) != 2 || inc.Events[1].Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("journal %+v, want both requests with the oversized one answered 413", inc.Events)
+	}
+	if len(inc.Trace.Records) != 1 || !bytes.Equal(inc.Trace.Records[0].Body, small) {
+		t.Fatalf("window holds %d records, want only the small body", len(inc.Trace.Records))
+	}
+	tr, dropped := tape.Trace()
+	if len(tr.Records) != 1 || dropped != 1 {
+		t.Fatalf("tape holds %d records with %d dropped, want 1 and 1", len(tr.Records), dropped)
+	}
+}
+
+// TestCaptureRingHammer drives 16 concurrent writers through the capture
+// point with a tiny captures ring while a reader freezes incidents, then
+// checks the books: every offered request is either live in the ring or
+// counted as evicted, every frozen window matches its journal, and the
+// unbounded tape holds every POST. Run under -race this is the capture
+// path's race check.
+func TestCaptureRingHammer(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	tape := replay.NewTape(1)
+	cfg := Config{Tape: tape, MaxBatch: 1, FlushWindow: -1}
+	cfg.flightManual = true
+	cfg.flightEvents = 8
+	srv := New(cfg)
+	defer shutdownTestServer(t, srv)
+
+	const writers, perWriter = 16, 50
+	bodies := make([][]byte, 8)
+	for i := range bodies {
+		bodies[i] = colorBody(t, i)
+	}
+	stop := make(chan struct{})
+	frozen := make(chan struct{})
+	go func() {
+		defer close(frozen)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			inc := srv.FlightRecorder().Freeze(time.Now(), "manual", nil)
+			if len(inc.Trace.Records) != len(inc.Events) {
+				t.Errorf("frozen window has %d records for %d events", len(inc.Trace.Records), len(inc.Events))
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/v1/color", bytes.NewReader(bodies[(w+i)%len(bodies)]))
+				req.Header.Set(TenantHeader, fmt.Sprintf("w%d", w))
+				srv.httpSrv.Handler.ServeHTTP(httptest.NewRecorder(), req)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-frozen
+
+	const offered = writers * perWriter
+	c := srv.FlightRecorder().Counters()
+	live := len(srv.FlightRecorder().EventsSnapshot())
+	if c.Events != offered || c.EventsEvicted+int64(live) != offered {
+		t.Fatalf("events %d, evicted %d + live %d, want %d offered", c.Events, c.EventsEvicted, live, offered)
+	}
+	tr, dropped := tape.Trace()
+	if len(tr.Records) != offered || dropped != 0 {
+		t.Fatalf("tape holds %d records with %d dropped, want all %d", len(tr.Records), dropped, offered)
+	}
+	perTenant := map[string]int{}
+	for _, rec := range tr.Records {
+		perTenant[rec.Tenant]++
+	}
+	for w := 0; w < writers; w++ {
+		if n := perTenant[fmt.Sprintf("w%d", w)]; n != perWriter {
+			t.Errorf("tape holds %d records of writer %d, want %d", n, w, perWriter)
+		}
 	}
 }

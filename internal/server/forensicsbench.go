@@ -1,18 +1,15 @@
 // Forensics overhead bench: what the always-on flight recorder costs on
 // the serving hot path. The identical mixed multi-tenant workload runs
-// with the recorder off and fully on (event capture, window recorder,
-// background watchdog at its default cadence) — and the p50 delta is
-// the recorder's price against the serving path as modeled (the worker
-// delay stays on, like the trace bench: the recorder is priced relative
-// to a parallel memory access, not a zero-latency one). The
+// with the recorder off and fully on (request capture with its body
+// read, background watchdog at its default cadence) — and the p50 delta
+// is the recorder's price against the serving path as modeled (the
+// worker delay stays on, like the trace bench: the recorder is priced
+// relative to a parallel memory access, not a zero-latency one). The
 // `make bench-forensics` entry records this in BENCH_pr10.json; the
 // tentpole claim is <3% at p50.
 package server
 
-import (
-	"repro/internal/flightrec"
-	"repro/internal/replay"
-)
+import "repro/internal/flightrec"
 
 // ForensicsOverheadComparison is the measured off/on pair.
 type ForensicsOverheadComparison struct {
@@ -26,7 +23,6 @@ type ForensicsOverheadComparison struct {
 	// counted (never silent), and the bound monitor stayed at zero.
 	Events          int64 `json:"FlightEvents"`
 	EventsEvicted   int64 `json:"FlightEventsEvicted"`
-	WindowRecorded  int64 `json:"FlightWindowRecorded"`
 	Breaches        int64 `json:"FlightBreaches"`
 	BoundViolations int64 `json:"BoundViolations"`
 }
@@ -56,13 +52,9 @@ func RunForensicsOverheadComparison(cfg LoadGenConfig) (ForensicsOverheadCompari
 		return ForensicsOverheadComparison{}, err
 	}
 	var fc flightrec.CountersSnapshot
-	var ws replay.WindowStats
 	offRun := func() (LoadGenResult, error) { return run("flight_off", true, nil) }
 	onRun := func() (LoadGenResult, error) {
-		return run("flight_on", false, func(s *Server) {
-			fc = s.fr.Counters()
-			ws = s.frWindow.Stats()
-		})
+		return run("flight_on", false, func(s *Server) { fc = s.fr.Counters() })
 	}
 	// Alternate the order across reps (off/on, on/off, off/on) so
 	// neither mode always sits in the later — slower, drift-penalized —
@@ -83,12 +75,11 @@ func RunForensicsOverheadComparison(cfg LoadGenConfig) (ForensicsOverheadCompari
 		}
 	}
 	cmp := ForensicsOverheadComparison{
-		Off:            off,
-		On:             on,
-		Events:         fc.Events,
-		EventsEvicted:  fc.EventsEvicted,
-		WindowRecorded: ws.Recorded,
-		Breaches:       fc.Breaches,
+		Off:           off,
+		On:            on,
+		Events:        fc.Events,
+		EventsEvicted: fc.EventsEvicted,
+		Breaches:      fc.Breaches,
 	}
 	if off.P50us > 0 {
 		cmp.OnP50OverheadPct = (on.P50us - off.P50us) / off.P50us * 100

@@ -5,7 +5,6 @@
 package server
 
 import (
-	"math/bits"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -13,37 +12,13 @@ import (
 	"repro/internal/flightrec"
 	"repro/internal/mapstore"
 	dm "repro/internal/metrics"
+	"repro/internal/obsv"
 	"repro/internal/pms"
 )
 
-// histBuckets covers 2^0 … 2^27 (µs buckets reach ~134 s; batch-size
-// buckets reach 2^27 items, far above any admitted batch).
-const histBuckets = 28
-
-// The disk tier's load histogram must share this geometry for its
-// buckets to translate label-for-label.
-var _ = [1]struct{}{}[histBuckets-mapstore.LoadBuckets]
-
-// histogram is a power-of-two bucketed distribution: bucket i counts
-// observations v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i).
-type histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-func (h *histogram) observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	i := bits.Len64(uint64(v))
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[i].Add(1)
-}
+// The disk tier's load histogram must share obsv.Histogram's geometry
+// for its buckets to translate label-for-label.
+var _ = [1]struct{}{}[obsv.NumBuckets-mapstore.LoadBuckets]
 
 // HistogramSnapshot is the exported form of a histogram.
 type HistogramSnapshot struct {
@@ -53,41 +28,18 @@ type HistogramSnapshot struct {
 	Buckets map[string]int64 `json:"buckets,omitempty"` // upper bound → count, zero buckets omitted
 }
 
-func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
+func histSnapshot(count, sum int64, buckets [obsv.NumBuckets]int64) HistogramSnapshot {
+	s := HistogramSnapshot{Count: count, Sum: sum}
 	if s.Count > 0 {
 		s.Mean = float64(s.Sum) / float64(s.Count)
 		s.Buckets = make(map[string]int64)
-		for i := range h.buckets {
-			if c := h.buckets[i].Load(); c > 0 {
-				s.Buckets[bucketLabel(i)] = c
+		for i, c := range buckets {
+			if c > 0 {
+				s.Buckets[obsv.BucketLabel(i)] = c
 			}
 		}
 	}
 	return s
-}
-
-func bucketLabel(i int) string {
-	// Upper bound of bucket i is 2^i - 1 (bucket 0 holds v == 0).
-	if i == histBuckets-1 {
-		return "inf"
-	}
-	v := (int64(1) << uint(i)) - 1
-	return itoa(v)
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // endpointMetrics tracks one API endpoint.
@@ -95,7 +47,7 @@ type endpointMetrics struct {
 	requests  atomic.Int64
 	errors4xx atomic.Int64
 	errors5xx atomic.Int64
-	latencyUS histogram
+	latencyUS obsv.Histogram
 }
 
 // EndpointSnapshot is the exported form of endpointMetrics.
@@ -123,7 +75,7 @@ type Metrics struct {
 	batchesFlushed  atomic.Int64
 	batchesRejected atomic.Int64 // coalesced batches failed because the pool queue was full
 	coalescedJobs   atomic.Int64 // singleton requests that shared a flushed batch of size ≥ 2
-	batchSize       histogram
+	batchSize       obsv.Histogram
 
 	// Batch-compute path attribution: a kernel batch was colored by the
 	// mapping's ColorBatch kernel in one pass; a fallback batch paid the
@@ -133,7 +85,7 @@ type Metrics struct {
 	// 64 completes well under a microsecond.
 	kernelBatches   atomic.Int64
 	fallbackBatches atomic.Int64
-	batchComputeNS  histogram
+	batchComputeNS  obsv.Histogram
 
 	registryHits      atomic.Int64
 	registryMisses    atomic.Int64
@@ -241,7 +193,7 @@ func (em *endpointMetrics) snapshot() EndpointSnapshot {
 		Requests:  em.requests.Load(),
 		Errors4xx: em.errors4xx.Load(),
 		Errors5xx: em.errors5xx.Load(),
-		LatencyUS: em.latencyUS.snapshot(),
+		LatencyUS: histSnapshot(em.latencyUS.Load()),
 	}
 }
 
@@ -262,10 +214,10 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		BatchesFlushed:  m.batchesFlushed.Load(),
 		BatchesRejected: m.batchesRejected.Load(),
 		CoalescedJobs:   m.coalescedJobs.Load(),
-		BatchSize:       m.batchSize.snapshot(),
+		BatchSize:       histSnapshot(m.batchSize.Load()),
 		KernelBatches:   m.kernelBatches.Load(),
 		FallbackBatches: m.fallbackBatches.Load(),
-		BatchComputeNS:  m.batchComputeNS.snapshot(),
+		BatchComputeNS:  histSnapshot(m.batchComputeNS.Load()),
 
 		RegistryHits:                m.registryHits.Load(),
 		RegistryMisses:              m.registryMisses.Load(),
@@ -326,7 +278,7 @@ type StoreSnapshot struct {
 // store's load histogram uses the same power-of-two bucketing as the
 // serving histograms, so the labels translate directly.
 func storeSnapshot(st mapstore.Stats) StoreSnapshot {
-	ss := StoreSnapshot{
+	return StoreSnapshot{
 		Hits:       st.Hits,
 		Misses:     st.Misses,
 		Spills:     st.Spills,
@@ -335,18 +287,8 @@ func storeSnapshot(st mapstore.Stats) StoreSnapshot {
 		Evictions:  st.Evictions,
 		Bytes:      st.Bytes,
 		Entries:    st.Entries,
-		LoadNS:     HistogramSnapshot{Count: st.LoadNSCount, Sum: st.LoadNSSum},
+		LoadNS:     histSnapshot(st.LoadNSCount, st.LoadNSSum, st.LoadNSBuckets),
 	}
-	if ss.LoadNS.Count > 0 {
-		ss.LoadNS.Mean = float64(ss.LoadNS.Sum) / float64(ss.LoadNS.Count)
-		ss.LoadNS.Buckets = make(map[string]int64)
-		for i, c := range st.LoadNSBuckets {
-			if c > 0 {
-				ss.LoadNS.Buckets[bucketLabel(i)] = c
-			}
-		}
-	}
-	return ss
 }
 
 // recordBatchCompute accounts one colored batch: which path colored it
@@ -357,7 +299,7 @@ func (m *Metrics) recordBatchCompute(kernel bool, d time.Duration) {
 	} else {
 		m.fallbackBatches.Add(1)
 	}
-	m.batchComputeNS.observe(d.Nanoseconds())
+	m.batchComputeNS.Observe(d.Nanoseconds())
 }
 
 // recordSim folds one /v1/simulate replay's engine counters into the
@@ -399,7 +341,7 @@ func (em *endpointMetrics) observe(status int, d time.Duration) {
 	case status >= 400:
 		em.errors4xx.Add(1)
 	}
-	em.latencyUS.observe(d.Microseconds())
+	em.latencyUS.Observe(d.Microseconds())
 }
 
 // varsHandler serves the metrics snapshot as JSON.

@@ -3,90 +3,22 @@ package server
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obsv"
 )
 
-// TestHistogramBucketBoundaries pins the power-of-two bucketing of
-// histogram.observe: bucket i holds v with bits.Len64(v) == i, labeled
-// by its inclusive upper bound 2^i - 1 ("inf" for the clamp bucket).
-// The /debug/vars wire format depends on these labels; any shift here
-// would silently re-bucket every dashboard reading them.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		name  string
-		v     int64
-		label string
-	}{
-		{"zero", 0, "0"},
-		{"one", 1, "1"},
-		{"two is a power boundary", 2, "3"},
-		{"three tops bucket 2", 3, "3"},
-		{"four is a power boundary", 4, "7"},
-		{"seven tops bucket 3", 7, "7"},
-		{"eight is a power boundary", 8, "15"},
-		{"top of bucket 10", (1 << 10) - 1, "1023"},
-		{"power 2^10", 1 << 10, "2047"},
-		{"top of last finite bucket", (1 << 26) - 1, "67108863"},
-		{"first clamped power", 1 << 26, "inf"},
-		{"deep clamp", 1 << 40, "inf"},
-		{"negative clamps to zero", -5, "0"},
-	}
-	for _, tc := range cases {
-		var h histogram
-		h.observe(tc.v)
-		snap := h.snapshot()
-		if snap.Count != 1 {
-			t.Errorf("%s: count = %d, want 1", tc.name, snap.Count)
-		}
-		if len(snap.Buckets) != 1 {
-			t.Fatalf("%s: %d buckets populated, want 1 (%v)", tc.name, len(snap.Buckets), snap.Buckets)
-		}
-		if c, ok := snap.Buckets[tc.label]; !ok || c != 1 {
-			t.Errorf("%s: observe(%d) landed in %v, want bucket %q", tc.name, tc.v, snap.Buckets, tc.label)
-		}
-		wantSum := tc.v
-		if wantSum < 0 {
-			wantSum = 0
-		}
-		if snap.Sum != wantSum {
-			t.Errorf("%s: sum = %d, want %d", tc.name, snap.Sum, wantSum)
-		}
-	}
-}
-
-// TestBucketLabels pins the label strings themselves, including the
-// clamp bucket.
-func TestBucketLabels(t *testing.T) {
-	cases := []struct {
-		i    int
-		want string
-	}{
-		{0, "0"},
-		{1, "1"},
-		{2, "3"},
-		{3, "7"},
-		{10, "1023"},
-		{20, "1048575"},
-		{26, "67108863"},
-		{histBuckets - 1, "inf"},
-	}
-	for _, tc := range cases {
-		if got := bucketLabel(tc.i); got != tc.want {
-			t.Errorf("bucketLabel(%d) = %q, want %q", tc.i, got, tc.want)
-		}
-	}
-}
-
 // TestHistogramSnapshotAggregates checks count/sum/mean across several
-// observations and that empty histograms omit buckets entirely.
+// observations and that empty histograms omit buckets entirely. The
+// bucket boundaries and labels themselves are pinned in obsv.
 func TestHistogramSnapshotAggregates(t *testing.T) {
-	var h histogram
-	if snap := h.snapshot(); snap.Count != 0 || snap.Buckets != nil {
+	var h obsv.Histogram
+	if snap := histSnapshot(h.Load()); snap.Count != 0 || snap.Buckets != nil {
 		t.Errorf("empty snapshot = %+v, want zero with nil buckets", snap)
 	}
 	for _, v := range []int64{1, 1, 3, 1000} {
-		h.observe(v)
+		h.Observe(v)
 	}
-	snap := h.snapshot()
+	snap := histSnapshot(h.Load())
 	if snap.Count != 4 || snap.Sum != 1005 {
 		t.Errorf("count/sum = %d/%d, want 4/1005", snap.Count, snap.Sum)
 	}

@@ -31,17 +31,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	dm.WriteDomain(e, promPrefix, s.dom)
 }
 
-// writeHistogram renders the server's private power-of-two histogram
-// (identical bucketing to obsv.Histogram: 28 buckets by bits.Len64)
-// as a cumulative Prometheus histogram. It reads the atomic buckets
-// directly; like every snapshot in this package, cross-bucket skew
+// writeHistogram renders a serving histogram as a cumulative Prometheus
+// histogram; like every snapshot in this package, cross-bucket skew
 // under concurrent writes is acceptable.
-func writeHistogram(e *dm.Expo, name string, labels []dm.Label, h *histogram) {
-	var buckets [obsv.NumBuckets]int64
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-	}
-	e.HistogramData(name, labels, h.count.Load(), h.sum.Load(), buckets)
+func writeHistogram(e *dm.Expo, name string, labels []dm.Label, h *obsv.Histogram) {
+	count, sum, buckets := h.Load()
+	e.HistogramData(name, labels, count, sum, buckets)
 }
 
 func writeServerMetrics(e *dm.Expo, m *Metrics) {

@@ -51,12 +51,12 @@ func populateDeterministic(s *Server) {
 	m.batchesFlushed.Store(4)
 	m.batchesRejected.Store(1)
 	m.coalescedJobs.Store(3)
-	m.batchSize.observe(1)
-	m.batchSize.observe(6)
+	m.batchSize.Observe(1)
+	m.batchSize.Observe(6)
 	m.kernelBatches.Store(3)
 	m.fallbackBatches.Store(1)
-	m.batchComputeNS.observe(800)
-	m.batchComputeNS.observe(12000)
+	m.batchComputeNS.Observe(800)
+	m.batchComputeNS.Observe(12000)
 	m.registryHits.Store(7)
 	m.registryMisses.Store(2)
 	m.registryEvictions.Store(1)

@@ -1,9 +1,10 @@
 // Record/replay benchmark: records a Zipf-skewed multi-tenant mixed
-// workload through the trace recorder middleware, then replays the trace
-// twice against fresh servers and checks the determinism contract — both
-// replays must produce bit-identical response digests — plus the domain
-// invariant that the theorem-bound monitor sees zero violations. This is
-// the `make bench-replay` entry recorded in BENCH_pr8.json.
+// workload onto a replay.Tape through the capture point, then replays
+// the trace twice against fresh servers and checks the determinism
+// contract — both replays must produce bit-identical response digests —
+// plus the domain invariant that the theorem-bound monitor sees zero
+// violations. This is the `make bench-replay` entry recorded in
+// BENCH_pr8.json.
 //
 // Replay servers run with coalescing off (batch size 1) and tracing off:
 // replay is sequential, so cross-request batching would only add timer
@@ -20,16 +21,17 @@ import (
 	"repro/internal/replay"
 )
 
-// The recorder restores tenants under the same header the admission
-// layer reads; a mismatch would silently unbind replay from per-tenant
-// accounting. The duplicate-key trick makes a drift a compile error.
+// The capture point records tenants under the same header the
+// admission layer reads and the replayer restores; a mismatch would
+// silently unbind replay from per-tenant accounting. The duplicate-key
+// trick makes a drift a compile error.
 var _ = map[bool]struct{}{false: {}, TenantHeader == replay.TenantHeader: {}}
 
 // ReplayBenchConfig parameterizes one record/replay run.
 type ReplayBenchConfig struct {
-	// Load shapes the recorded traffic. Endpoint and Server.Middleware
-	// are owned by the bench (mix + recorder); everything else is the
-	// caller's. Tenants defaults to 8, Requests to 4000.
+	// Load shapes the recorded traffic. Endpoint and Server.Tape are
+	// owned by the bench (mix + tape); everything else is the caller's.
+	// Tenants defaults to 8, Requests to 4000.
 	Load LoadGenConfig
 	// TracePath, when set, persists the recorded trace file.
 	TracePath string
@@ -66,6 +68,7 @@ func replayServerConfig(base Config) Config {
 	c := base
 	c.Addr = ""
 	c.Middleware = nil
+	c.Tape = nil
 	c.MaxBatch = 1
 	c.FlushWindow = -1
 	c.TraceSampleRate = -1
@@ -121,16 +124,14 @@ func RunReplayBench(cfg ReplayBenchConfig) (ReplayBenchResult, error) {
 		load.Requests = 4000
 	}
 
-	rec := replay.NewRecorder(replay.RecorderConfig{Seed: load.Seed})
-	load.Server.Middleware = rec.Middleware
+	tape := replay.NewTape(load.Seed)
+	load.Server.Tape = tape
 
 	live, err := RunLoadGen(load, "record")
 	if err != nil {
-		rec.Close()
 		return ReplayBenchResult{}, fmt.Errorf("recording run: %w", err)
 	}
-	stats := rec.Stats()
-	trace := rec.Close()
+	trace, dropped := tape.Trace()
 	if len(trace.Records) == 0 {
 		return ReplayBenchResult{}, fmt.Errorf("recording run captured no records")
 	}
@@ -141,8 +142,8 @@ func RunReplayBench(cfg ReplayBenchConfig) (ReplayBenchResult, error) {
 	}
 
 	res := ReplayBenchResult{
-		Recorded:    stats.Recorded,
-		Dropped:     stats.Dropped,
+		Recorded:    int64(len(trace.Records)),
+		Dropped:     dropped,
 		RecordRPS:   live.ReqPerSec,
 		TraceBytes:  len(replay.Encode(trace)),
 		Tenants:     load.Tenants,

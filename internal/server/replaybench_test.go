@@ -79,7 +79,7 @@ func TestReplayBenchDeterministic(t *testing.T) {
 
 // chaosMiddleware deterministically sheds traffic before it reaches the
 // mux: every 5th request is refused 429, every 7th fails 500. The
-// recorder wraps OUTSIDE it, so the trace captures the full offered
+// capture point wraps OUTSIDE it, so the tape holds the full offered
 // stream including requests the live run never served.
 func chaosMiddleware(next http.Handler) http.Handler {
 	var n atomic.Int64
@@ -106,18 +106,20 @@ func TestChaosRecordReplayDeterminism(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 
 	load := smallReplayLoad()
-	rec := replay.NewRecorder(replay.RecorderConfig{Seed: load.Seed})
+	tape := replay.NewTape(load.Seed)
 	load.Endpoint = "mix"
-	load.Server.Middleware = func(next http.Handler) http.Handler {
-		return rec.Middleware(chaosMiddleware(next))
-	}
+	load.Server.Middleware = chaosMiddleware
+	load.Server.Tape = tape
 	live, err := RunLoadGen(load, "chaos_record")
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := rec.Close()
+	trace, dropped := tape.Trace()
 	if len(trace.Records) == 0 {
 		t.Fatal("chaos run recorded nothing")
+	}
+	if trace.Seed != load.Seed || dropped != 0 {
+		t.Fatalf("tape seed %d dropped %d, want seed %d and no drops", trace.Seed, dropped, load.Seed)
 	}
 	if live.Errors == 0 && live.Rejected == 0 {
 		t.Fatal("chaos middleware injected no failures; the test is vacuous")

@@ -144,23 +144,21 @@ type Config struct {
 	// the bare routes.
 	Middleware func(http.Handler) http.Handler
 	// DisableFlightRec turns off the always-on flight recorder and SLO
-	// watchdog (internal/flightrec). On by default: recording an event is
-	// one mutex push per request, priced by -forensics-bench.
+	// watchdog (internal/flightrec). On by default: recording a request
+	// is one body read and one mutex push, priced by -forensics-bench.
 	DisableFlightRec bool
 	// FlightRecDir is where watchdog-triggered incident snapshots land;
 	// empty disables automatic writes (GET /debug/snapshot still works).
 	FlightRecDir string
-	// FlightRecEvents sizes the flight recorder's event ring
-	// (default 4096).
-	FlightRecEvents int
-	// FlightRecWindow sizes the replayable request-window ring bundled
-	// into incidents (default 2048 requests).
-	FlightRecWindow int
 	// FlightRecMeta is stamped into every incident snapshot; pmsd records
 	// the chaos-injector config here so pmsdoctor -replay can rebuild it.
 	FlightRecMeta map[string]string
 	// SLO configures the watchdog rules and tick cadence.
 	SLO flightrec.SLOConfig
+	// Tape, when set, receives every /v1 POST the capture point reads,
+	// in arrival order (pmsd -record). It works with or without the
+	// flight recorder.
+	Tape *replay.Tape
 	// Logger receives the server's structured log lines
 	// (default slog.Default()).
 	Logger *slog.Logger
@@ -172,6 +170,9 @@ type Config struct {
 	flightManual bool
 	// flightNow is the flight recorder's clock (default time.Now).
 	flightNow func() time.Time
+	// flightEvents sizes the flight recorder's captures ring (default
+	// flightrec's 2048); tests shrink it to exercise eviction.
+	flightEvents int
 }
 
 func (c Config) withDefaults() Config {
@@ -264,10 +265,10 @@ type Server struct {
 	pool     *pool
 	coal     *coalescer
 	trc      *obsv.Tracer
-	dom      *dm.Domain             // nil when domain metrics are disabled
-	ctl      *serverController      // nil when the controller is disabled
-	fr       *flightrec.Recorder    // nil when the flight recorder is disabled
-	frWindow *replay.WindowRecorder // nil when the flight recorder is disabled
+	dom      *dm.Domain          // nil when domain metrics are disabled
+	ctl      *serverController   // nil when the controller is disabled
+	fr       *flightrec.Recorder // nil when the flight recorder is disabled
+	arrivals atomic.Uint64       // capture sequence numbers
 	logger   *slog.Logger
 	httpSrv  *http.Server
 	listener net.Listener
@@ -308,15 +309,13 @@ func New(cfg Config) *Server {
 	}
 	s.logger = cfg.Logger
 	if !cfg.DisableFlightRec {
-		s.frWindow = replay.NewWindowRecorder(replay.WindowConfig{Window: cfg.FlightRecWindow})
 		s.fr = flightrec.New(flightrec.Config{
-			Events: cfg.FlightRecEvents,
+			Events: cfg.flightEvents,
 			SLO:    cfg.SLO,
 			Dir:    cfg.FlightRecDir,
 			Meta:   cfg.FlightRecMeta,
 			Frame:  s.metricFrame,
 			Traces: func() []obsv.TraceSnapshot { return s.trc.Snapshot().Slowest },
-			Window: s.frWindow.Snapshot,
 			Now:    cfg.flightNow,
 			Logger: cfg.Logger,
 		})
@@ -327,11 +326,10 @@ func New(cfg Config) *Server {
 		h = cfg.Middleware(h)
 	}
 	// Capture wraps OUTERMOST — outside the chaos middleware — so flight
-	// events record the response the client saw; the window recorder sits
-	// just inside it, so the replayable trace includes requests chaos
-	// answered for itself.
-	if s.fr != nil {
-		h = s.flightMiddleware(s.frWindow.Middleware(h))
+	// events record the response the client saw and the replayable trace
+	// includes requests chaos answered for itself.
+	if s.fr != nil || cfg.Tape != nil {
+		h = s.captureMiddleware(h)
 	}
 	s.httpSrv = &http.Server{
 		Handler:           h,
@@ -691,7 +689,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.met.batchesFlushed.Add(1)
-		s.met.batchSize.observe(int64(len(nodes)))
+		s.met.batchSize.Observe(int64(len(nodes)))
 		endCompute := tr.StartSpan(obsv.StageBatchCompute)
 		resp.Modules = m.Modules()
 		resp.Colors = make([]int, len(nodes))

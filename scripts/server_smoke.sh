@@ -12,7 +12,10 @@
 #   3. a saturating burst must shed load with 429s while the admitted
 #      requests still complete with 200;
 #   4. SIGTERM drains gracefully and the process exits 0;
-#   5. a second pmsd with -store-dir serves traffic, drains on SIGTERM
+#   5. a pmsd with -record tapes a request mix into a PMSTRC1 file on
+#      SIGTERM, and two pmsd -replay runs of it print the same digest
+#      with zero bound violations;
+#   6. a pmsd with -store-dir serves traffic, drains on SIGTERM
 #      (persisting its memory tier to the store), and a relaunch over the
 #      same directory warm-starts: the pre-warmed spec is served without
 #      a single rematerialization and the bound monitor stays at zero.
@@ -149,7 +152,9 @@ curl -s "$BASE/debug/snapshot" -o "$WORKDIR/manual-inc/incident-manual.pmsinc"
 "$WORKDIR/pmsdoctor" -once -dir "$WORKDIR/manual-inc" >"$WORKDIR/doctor-manual.out" \
     || fail "pmsdoctor rejected the manual snapshot: $(cat "$WORKDIR/doctor-manual.out")"
 grep -q 'reason=manual' "$WORKDIR/doctor-manual.out" || fail "pmsdoctor report missing the manual reason: $(cat "$WORKDIR/doctor-manual.out")"
-curl -s "$BASE/metrics" | grep -q '^pmsd_flightrec_events_total [1-9]' || fail "flight recorder captured no events"
+# A here-string, not a pipe: grep -q exits at its first match, and under
+# pipefail the curl still writing the rest of /metrics would fail the line.
+grep -q '^pmsd_flightrec_events_total [1-9]' <<<"$(curl -s "$BASE/metrics")" || fail "flight recorder captured no events"
 echo "   manual snapshot decoded by pmsdoctor"
 
 echo "== backpressure burst"
@@ -176,6 +181,43 @@ if ! wait "$SERVER_PID"; then
     fail "pmsd exited non-zero on SIGTERM"
 fi
 grep -q "pmsd stopped" "$WORKDIR/pmsd.log" || fail "no graceful-stop log line"
+
+echo "== trace record/replay"
+# -record tapes every /v1 POST at the capture point and writes the
+# PMSTRC1 file on SIGTERM; two -replay runs of that file must print the
+# same digest with the bound monitor at zero.
+TRACEFILE="$WORKDIR/run.pmstrc"
+"$WORKDIR/pmsd" -addr 127.0.0.1:0 -record "$TRACEFILE" -seed 5 \
+    >"$WORKDIR/pmsd-record.log" 2>&1 &
+SERVER_PID=$!
+for _ in $(seq 1 100); do
+    ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$WORKDIR/pmsd-record.log")"
+    [ -n "$ADDR" ] && break
+    sleep 0.05
+done
+[ -n "${ADDR:-}" ] || fail "recording pmsd never reported its listen address: $(cat "$WORKDIR/pmsd-record.log")"
+BASE="http://$ADDR"
+for i in $(seq 0 3); do
+    curl -s -o /dev/null -H 'X-Tenant: smoke-rec' -X POST "$BASE/v1/color" \
+        -d '{"mapping":'"$MAPPING"',"node":{"index":'"$i"',"level":4}}'
+    curl -s -o /dev/null -X POST "$BASE/v1/template-cost" \
+        -d '{"mapping":'"$MAPPING"',"kind":"S","size":7,"anchor":{"index":'"$i"',"level":3}}'
+    curl -s -o /dev/null -H 'X-Tenant: smoke-rec' -X POST "$BASE/v1/range" \
+        -d '{"mapping":'"$MAPPING"',"ranges":[['"$i"',40]]}'
+done
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || fail "recording pmsd exited non-zero on SIGTERM: $(cat "$WORKDIR/pmsd-record.log")"
+grep -q 'recorded=12 dropped=0' "$WORKDIR/pmsd-record.log" || fail "tape did not hold the 12 POSTs: $(cat "$WORKDIR/pmsd-record.log")"
+for run in 1 2; do
+    "$WORKDIR/pmsd" -replay "$TRACEFILE" >"$WORKDIR/replay$run.out" 2>&1 \
+        || fail "pmsd -replay run $run failed: $(cat "$WORKDIR/replay$run.out")"
+    grep -q '^replayed 12 requests' "$WORKDIR/replay$run.out" || fail "replay run $run did not re-drive 12 requests: $(cat "$WORKDIR/replay$run.out")"
+    grep -q 'violations 0$' "$WORKDIR/replay$run.out" || fail "replay run $run saw bound violations: $(cat "$WORKDIR/replay$run.out")"
+done
+digest1=$(sed -n 's/^digest: //p' "$WORKDIR/replay1.out")
+digest2=$(sed -n 's/^digest: //p' "$WORKDIR/replay2.out")
+[ -n "$digest1" ] && [ "$digest1" = "$digest2" ] || fail "replay digests differ: '$digest1' vs '$digest2'"
+echo "   12 requests taped, replayed twice: digest ${digest1:0:16}… violations=0"
 
 echo "== tiered store: cold run"
 # A fresh pmsd with a disk tier: serve one table-backed spec, then drain.
@@ -300,7 +342,7 @@ hdr=$(curl -s -D - -o /dev/null -X POST "$BASE/v1/template-cost" -d "$SUBTREE" \
 VARS=$(curl -s "$BASE/debug/vars")
 mat=$(echo "$VARS" | grep -o '"registry_acquire_materializes":[0-9]*' | cut -d: -f2)
 [ "${mat:-1}" = 0 ] || fail "restart paid $mat rematerializations for the migrated mapping: $VARS"
-curl -s "$BASE/metrics" | grep -q '^pmsd_bound_violations_total 0$' || fail "bound monitor not at zero after controller warm restart"
+grep -q '^pmsd_bound_violations_total 0$' <<<"$(curl -s "$BASE/metrics")" || fail "bound monitor not at zero after controller warm restart"
 echo "   warm restart: effective=$hdr materializes=0"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "restarted controller pmsd exited non-zero on SIGTERM"
