@@ -401,8 +401,8 @@ func main() {
 			},
 			TracePath: *recordFile,
 		})
-		if err != nil {
-			fatal(err)
+		if err != nil && res.Recorded == 0 {
+			fatal(err) // the recording run failed: nothing to report
 		}
 		fmt.Printf("recorded %d requests (%d dropped, %d bytes on the wire, %d tenants, live %.0f req/s)\n",
 			res.Recorded, res.Dropped, res.TraceBytes, res.Tenants, res.RecordRPS)
@@ -419,6 +419,9 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("snapshot written to %s\n", *benchOut)
+		}
+		if err != nil {
+			fatal(err)
 		}
 		return
 	}
@@ -620,8 +623,8 @@ func main() {
 
 		if *forensicsBench {
 			cmp, err := server.RunForensicsOverheadComparison(lg)
-			if err != nil {
-				fatal(err)
+			if err != nil && cmp.On.Requests == 0 {
+				fatal(err) // a run failed: nothing to report
 			}
 			for _, r := range []server.LoadGenResult{cmp.Off, cmp.On} {
 				fmt.Printf("%-12s p50 %.0fus p95 %.0fus p99 %.0fus (%.0f req/s, %d ok)\n",
@@ -639,6 +642,9 @@ func main() {
 					fatal(err)
 				}
 				fmt.Printf("snapshot written to %s\n", *benchOut)
+			}
+			if err != nil {
+				fatal(err)
 			}
 			return
 		}

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -355,6 +356,288 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) *
 		return badRequest("trailing data after JSON body")
 	}
 	return nil
+}
+
+// decodeColorRequest is handleColor's decode entry. It reads the body
+// once, up to maxBytes, and decodes it with scanColorRequest. A body the
+// scanner declines, or one over the limit or cut short by a read error,
+// goes to decodeJSON as the same bytes: those already read are put back
+// in front of the unread rest. So every status and message stays
+// decodeJSON's, including its 400-vs-413 split on over-limit bodies.
+func decodeColorRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, req *ColorRequest) *apiError {
+	body, err := readBody(r, maxBytes)
+	if err == nil && int64(len(body)) <= maxBytes && scanColorRequest(body, req) {
+		return nil
+	}
+	r.Body = struct {
+		io.Reader
+		io.Closer
+	}{io.MultiReader(bytes.NewReader(body), r.Body), r.Body}
+	return decodeJSON(w, r, maxBytes, req)
+}
+
+// readBody reads at most limit+1 bytes of r's body, into one buffer
+// when Content-Length is declared and within limit.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, limit+1))
+	return buf.Bytes(), err
+}
+
+// scanColorRequest decodes the canonical subset of ColorRequest JSON
+// into req without reflection: one object whose keys are exactly the
+// wire names (any order, none repeated), strings of printable ASCII
+// without escapes, integers in JSON grammar that fit their field, and
+// JSON whitespace between tokens. Every such body decodes under
+// encoding/json to the same value. It reports false, leaving req
+// untouched, on anything else: case-variant keys (encoding/json folds
+// case, even ſ to s), repeated keys (encoding/json merges a repeated
+// object field by field), null, fractions, exponents, escapes,
+// non-ASCII bytes, unknown keys and malformed input.
+func scanColorRequest(body []byte, req *ColorRequest) bool {
+	s := colorScanner{b: body}
+	var out ColorRequest
+	if !s.request(&out) {
+		return false
+	}
+	s.ws()
+	if s.i != len(s.b) {
+		return false
+	}
+	*req = out
+	return true
+}
+
+// colorScanner is scanColorRequest's cursor over the body.
+type colorScanner struct {
+	b []byte
+	i int
+}
+
+// The scan loops below work on local copies of the cursor: through the
+// pointer, every byte would cost a load and a store of s.i.
+
+func (s *colorScanner) ws() {
+	b, i := s.b, s.i
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	s.i = i
+}
+
+// token skips whitespace and consumes one byte, returning it (0 at the
+// end of the body).
+func (s *colorScanner) token() byte {
+	s.ws()
+	if s.i == len(s.b) {
+		return 0
+	}
+	c := s.b[s.i]
+	s.i++
+	return c
+}
+
+// peek skips whitespace and reports whether the next byte is c,
+// consuming it if so.
+func (s *colorScanner) peek(c byte) bool {
+	s.ws()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// str scans a string of printable ASCII without escapes and returns its
+// contents, aliasing the body.
+func (s *colorScanner) str() ([]byte, bool) {
+	if s.token() != '"' {
+		return nil, false
+	}
+	b, start := s.b, s.i
+	for i := start; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			s.i = i + 1
+			return b[start:i], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// int scans a JSON integer that fits in a signed integer of the given
+// bit size.
+func (s *colorScanner) int(bits int) (int64, bool) {
+	s.ws()
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		u = u*10 + uint64(b[i]-'0')
+	}
+	s.i = i
+	// 19 digits cannot overflow u; a leading zero must stand alone.
+	digits := i - start
+	if digits == 0 || digits > 19 || (b[start] == '0' && digits > 1) {
+		return 0, false
+	}
+	limit := uint64(1) << (bits - 1)
+	if neg {
+		return -int64(u), u <= limit
+	}
+	return int64(u), u < limit
+}
+
+func (s *colorScanner) intField(dst *int) bool {
+	v, ok := s.int(strconv.IntSize)
+	*dst = int(v)
+	return ok
+}
+
+func (s *colorScanner) int64Field(dst *int64) bool {
+	v, ok := s.int(64)
+	*dst = v
+	return ok
+}
+
+func (s *colorScanner) strField(dst *string) bool {
+	v, ok := s.str()
+	*dst = string(v)
+	return ok
+}
+
+// object scans one object, handing each key to field with the cursor on
+// its value. field reports false to decline the body.
+func (s *colorScanner) object(field func(key []byte) bool) bool {
+	if s.token() != '{' {
+		return false
+	}
+	if s.peek('}') {
+		return true
+	}
+	for {
+		key, ok := s.str()
+		if !ok || s.token() != ':' || !field(key) {
+			return false
+		}
+		switch s.token() {
+		case ',':
+		case '}':
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// once marks bit in seen, reporting false for a repeated key.
+func once(seen *uint8, bit uint8) bool {
+	if *seen&bit != 0 {
+		return false
+	}
+	*seen |= bit
+	return true
+}
+
+func (s *colorScanner) request(req *ColorRequest) bool {
+	var seen uint8
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "mapping":
+			return once(&seen, 1) && s.mapping(&req.Mapping)
+		case "node":
+			if !once(&seen, 2) {
+				return false
+			}
+			req.Node = new(NodeRef)
+			return s.node(req.Node)
+		case "nodes":
+			if !once(&seen, 4) {
+				return false
+			}
+			var ok bool
+			req.Nodes, ok = s.nodes()
+			return ok
+		}
+		return false
+	})
+}
+
+func (s *colorScanner) mapping(sp *MappingSpec) bool {
+	var seen uint8
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "alg":
+			return once(&seen, 1) && s.strField(&sp.Alg)
+		case "levels":
+			return once(&seen, 2) && s.intField(&sp.Levels)
+		case "m":
+			return once(&seen, 4) && s.intField(&sp.M)
+		case "modules":
+			return once(&seen, 8) && s.intField(&sp.Modules)
+		case "seed":
+			return once(&seen, 16) && s.int64Field(&sp.Seed)
+		case "policy":
+			return once(&seen, 32) && s.strField(&sp.Policy)
+		}
+		return false
+	})
+}
+
+func (s *colorScanner) node(nr *NodeRef) bool {
+	var seen uint8
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "index":
+			return once(&seen, 1) && s.int64Field(&nr.Index)
+		case "level":
+			return once(&seen, 2) && s.intField(&nr.Level)
+		}
+		return false
+	})
+}
+
+// nodes scans an array of node objects; "[]" yields a non-nil empty
+// slice, as encoding/json decodes it. The slice is sized by counting the
+// '{' before the first ']', capped at one 16-byte NodeRef per 16 bytes
+// of that span so a body of braces cannot allocate more than its own
+// size. json.Marshal writes every node object in 21 bytes or more, so
+// the cap binds only on other bodies, which grow by append.
+func (s *colorScanner) nodes() ([]NodeRef, bool) {
+	if s.token() != '[' {
+		return nil, false
+	}
+	rest := s.b[s.i:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	out := make([]NodeRef, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/16))
+	if s.peek(']') {
+		return out, true
+	}
+	for {
+		var nr NodeRef
+		if !s.node(&nr) {
+			return nil, false
+		}
+		out = append(out, nr)
+		switch s.token() {
+		case ',':
+		case ']':
+			return out, true
+		default:
+			return nil, false
+		}
+	}
 }
 
 // writeJSON writes a JSON response with the given status.

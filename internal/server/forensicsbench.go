@@ -9,7 +9,11 @@
 // tentpole claim is <3% at p50.
 package server
 
-import "repro/internal/flightrec"
+import (
+	"fmt"
+
+	"repro/internal/flightrec"
+)
 
 // ForensicsOverheadComparison is the measured off/on pair.
 type ForensicsOverheadComparison struct {
@@ -29,8 +33,10 @@ type ForensicsOverheadComparison struct {
 
 // RunForensicsOverheadComparison runs the mixed workload with the flight
 // recorder off and on and reports the p50 cost plus the recorder's
-// counters from the recording run. The mix workload's heap simulations
-// make single runs drift with allocator and GC warm-up, so the
+// counters from the recording run. It fails, with the comparison still
+// filled in, when that run saw a bound violation or recorded fewer
+// flight events than it served requests. The mix workload's heap
+// simulations make single runs drift with allocator and GC warm-up, so the
 // comparison warms the process untimed and then alternates off/on reps,
 // keeping the min p50 of each mode (the storebench min-of-reps idiom).
 func RunForensicsOverheadComparison(cfg LoadGenConfig) (ForensicsOverheadComparison, error) {
@@ -58,8 +64,10 @@ func RunForensicsOverheadComparison(cfg LoadGenConfig) (ForensicsOverheadCompari
 	}
 	// Alternate the order across reps (off/on, on/off, off/on) so
 	// neither mode always sits in the later — slower, drift-penalized —
-	// slot; min-of-reps then converges on each mode's floor.
+	// slot; min-of-reps then converges on each mode's floor. The kept
+	// recording run keeps its own recorder counters.
 	var off, on LoadGenResult
+	var onFC flightrec.CountersSnapshot
 	for i, pair := range [][2]func() (LoadGenResult, error){{offRun, onRun}, {onRun, offRun}, {offRun, onRun}} {
 		for _, f := range pair {
 			res, err := f()
@@ -70,16 +78,16 @@ func RunForensicsOverheadComparison(cfg LoadGenConfig) (ForensicsOverheadCompari
 			case res.Mode == "flight_off" && (i == 0 || res.P50us < off.P50us):
 				off = res
 			case res.Mode == "flight_on" && (i == 0 || res.P50us < on.P50us):
-				on = res
+				on, onFC = res, fc
 			}
 		}
 	}
 	cmp := ForensicsOverheadComparison{
 		Off:           off,
 		On:            on,
-		Events:        fc.Events,
-		EventsEvicted: fc.EventsEvicted,
-		Breaches:      fc.Breaches,
+		Events:        onFC.Events,
+		EventsEvicted: onFC.EventsEvicted,
+		Breaches:      onFC.Breaches,
 	}
 	if off.P50us > 0 {
 		cmp.OnP50OverheadPct = (on.P50us - off.P50us) / off.P50us * 100
@@ -87,5 +95,13 @@ func RunForensicsOverheadComparison(cfg LoadGenConfig) (ForensicsOverheadCompari
 	if on.Domain != nil {
 		cmp.BoundViolations = on.Domain.BoundViolations
 	}
-	return cmp, nil
+	// The p50 overhead is not gated: it is within run-to-run noise.
+	var err error
+	switch {
+	case cmp.BoundViolations != 0:
+		err = fmt.Errorf("forensics bench: %d bound violations", cmp.BoundViolations)
+	case cmp.Events < on.Requests:
+		err = fmt.Errorf("forensics bench: %d flight events for %d served requests", cmp.Events, on.Requests)
+	}
+	return cmp, err
 }

@@ -179,5 +179,8 @@ func RunReplayBench(cfg ReplayBenchConfig) (ReplayBenchResult, error) {
 	if !res.Deterministic {
 		return res, fmt.Errorf("replay digests diverged: %s vs %s", first.Digest, second.Digest)
 	}
+	if res.BoundViolations != 0 {
+		return res, fmt.Errorf("replay bench: %d bound violations", res.BoundViolations)
+	}
 	return res, nil
 }

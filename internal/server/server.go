@@ -624,7 +624,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // coalescer; explicit batches run as one worker task.
 func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	var req ColorRequest
-	if aerr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); aerr != nil {
+	if aerr := decodeColorRequest(w, r, s.cfg.MaxBodyBytes, &req); aerr != nil {
 		writeError(w, aerr)
 		return
 	}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -510,6 +512,33 @@ func TestDecodeRejectsMalformedBodies(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// readmeExample matches the README's `curl -s localhost:8080/v1/... -d '...'`
+// request examples, whose bodies may span lines.
+var readmeExample = regexp.MustCompile(`curl -s localhost:8080(/v1/\S+) -d '([^']*)'`)
+
+// TestREADMEExamples posts every /v1 request example in README.md to a
+// default server and requires each to succeed, so the documented
+// requests cannot drift from the API.
+func TestREADMEExamples(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples := readmeExample.FindAllStringSubmatch(string(readme), -1)
+	if len(examples) < 8 {
+		t.Fatalf("found %d README request examples, want at least 8", len(examples))
+	}
+	h := New(Config{}).Handler()
+	for _, ex := range examples {
+		path, body := ex[1], ex[2]
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rr.Code != http.StatusOK {
+			t.Errorf("POST %s %s: status %d: %s", path, body, rr.Code, rr.Body)
 		}
 	}
 }
