@@ -58,8 +58,9 @@ bench-snapshot:
 	BENCH_SNAPSHOT=$(BENCH_DIR)/BENCH_pr1.json $(GO) test -run TestBenchSnapshot .
 
 # Boots pmsd on a random port and runs the scripted serving smoke:
-# request mix, batch coalescing visible in /debug/vars, 429 backpressure
-# under saturation, graceful SIGTERM drain.
+# request mix, batch coalescing visible in /metrics (fewer flushed
+# batches than lookups served in a burst against a busy worker), 429
+# backpressure under saturation, graceful SIGTERM drain.
 server-smoke:
 	./scripts/server_smoke.sh
 

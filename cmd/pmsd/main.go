@@ -7,7 +7,7 @@
 //
 // Serve mode:
 //
-//	pmsd -addr :8080 -workers 8 -max-inflight 512 -flush 500us
+//	pmsd -addr :8080 -workers 8 -max-inflight 512 -max-batch 64
 //
 // SIGINT/SIGTERM trigger a graceful drain: accepted requests complete,
 // new ones are refused.
@@ -145,7 +145,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = auto: 4 serving, 2 in loadgen)")
 	maxInflight := flag.Int("max-inflight", 256, "admitted-request limit before 429s")
-	flush := flag.Duration("flush", 500*time.Microsecond, "coalescing flush window (0 disables batching)")
+	flush := flag.Duration("flush", 500*time.Microsecond, "alias kept for old scripts: 0 sets -max-batch 1 (no batching); any other value does nothing")
 	maxBatch := flag.Int("max-batch", 64, "max coalesced batch size (1 disables batching)")
 	cacheMB := flag.Int64("cache-mb", 256, "mapping registry byte budget, in MiB")
 	workerDelay := flag.Duration("worker-delay", 0, "injected per-task latency (load/backpressure testing only)")
@@ -302,7 +302,6 @@ func main() {
 		Addr:             *addr,
 		Workers:          *workers,
 		MaxInflight:      *maxInflight,
-		FlushWindow:      *flush,
 		MaxBatch:         *maxBatch,
 		CacheBudgetBytes: *cacheMB << 20,
 		WorkerDelay:      *workerDelay,
@@ -355,7 +354,7 @@ func main() {
 		fail("-controller needs the domain accounting layer; drop -no-domain-metrics")
 	}
 	if *flush == 0 {
-		cfg.FlushWindow = -1 // Config treats 0 as "default"; negative disables
+		cfg.MaxBatch = 1
 	}
 	if *traceSample == 0 {
 		cfg.TraceSampleRate = -1 // same idiom: 0 means "default" to Config

@@ -60,10 +60,14 @@ type Stage uint8
 
 const (
 	// StageAdmissionWait is the time between submitting a task to the
-	// worker pool and a worker starting it (queueing delay).
+	// worker pool and a worker starting it (queueing delay). For a
+	// coalesced lookup it starts at the later of its arrival and its
+	// group's queueing.
 	StageAdmissionWait Stage = iota
-	// StageCoalesceWait is the time a singleton lookup spent parked in the
-	// coalescer's flush window before its batch was submitted.
+	// StageCoalesceWait is the time a singleton lookup spent in the
+	// coalescer before its group was queued on the worker pool. A group
+	// is queued the moment it opens, so this is near zero; a lookup that
+	// joins an already queued group records zero.
 	StageCoalesceWait
 	// StageRegistryHit is a registry acquire answered from cache.
 	StageRegistryHit

@@ -4,14 +4,19 @@
 //     queued unit of work; the queue is sized to the admission limit so an
 //     admitted request is never dropped — saturation is signalled at
 //     admission time with 429 + Retry-After, before any state is created;
-//   - a coalescer for singleton /v1/color lookups: concurrent single-node
-//     requests against the same mapping spec are merged, within a small
-//     flush window, into one batch that resolves the registry handle once
-//     and colors all nodes in one pass.
+//   - a group-commit coalescer for singleton /v1/color lookups: the first
+//     lookup for a mapping spec opens a group and queues it on the pool at
+//     once, and later lookups for that spec join the queued group until a
+//     worker takes it or it reaches MaxBatch. An idle worker therefore
+//     serves a lookup at once, as a batch of one; batches form only while
+//     groups wait for a busy worker, a wait they would have had anyway.
+//     A batch resolves the registry handle once and colors all its nodes
+//     in one pass.
 //
-// Graceful shutdown flushes every armed batch and keeps the workers alive
-// until all in-flight HTTP handlers have received their results, so
-// accepted requests complete even while the listener is already closed.
+// Graceful shutdown refuses new lookups (every open group is already
+// queued) and keeps the workers alive until all in-flight HTTP handlers
+// have received their results, so accepted requests complete even while
+// the listener is already closed.
 package server
 
 import (
@@ -29,7 +34,7 @@ import (
 type pool struct {
 	tasks chan func()
 	wg    sync.WaitGroup
-	delay time.Duration // optional per-task latency injection (load testing)
+	delay time.Duration // modeled per-task access time (load testing); see access
 	hook  func()        // optional test hook run before each task
 }
 
@@ -44,14 +49,21 @@ func newPool(workers, depth int, delay time.Duration, hook func()) *pool {
 				if p.hook != nil {
 					p.hook()
 				}
-				if p.delay > 0 {
-					time.Sleep(p.delay)
-				}
 				fn()
 			}
 		}()
 	}
 	return p
+}
+
+// access sleeps the modeled per-task access time. Task bodies call it
+// themselves, after the coalescer has sealed its group, so a lookup that
+// arrives during the modeled access opens a new group instead of riding
+// along for free.
+func (p *pool) access() {
+	if p.delay > 0 {
+		time.Sleep(p.delay)
+	}
 }
 
 // trySubmit enqueues without blocking; false means the queue is full.
@@ -85,23 +97,23 @@ type colorJob struct {
 	node tree.Node
 	out  chan colorResult // buffered(1); the worker never blocks sending
 	tr   *obsv.Trace      // nil unless the request is sampled
-	enq  time.Time        // enqueue time; set only when tr != nil
+	enq  time.Time        // arrival time; set only when tr != nil
 }
 
-// colorGroup accumulates singleton lookups against one mapping spec.
+// colorGroup is one queued batch of singleton lookups against one mapping
+// spec. Lookups join it under coalescer.mu while it is open (listed in
+// coalescer.groups); once sealed, its jobs are fixed.
 type colorGroup struct {
-	spec      MappingSpec
-	jobs      []colorJob
-	timer     *time.Timer
-	flushed   bool
-	submitted time.Time // when the group was handed to the pool
+	spec   MappingSpec
+	key    string
+	jobs   []colorJob
+	queued time.Time // when the group was handed to the pool
 }
 
 // coalescer merges singleton color lookups per mapping key.
 type coalescer struct {
 	mu            sync.Mutex
-	groups        map[string]*colorGroup
-	window        time.Duration
+	groups        map[string]*colorGroup // open groups: queued, not yet taken by a worker
 	maxBatch      int
 	pool          *pool
 	reg           *Registry
@@ -110,13 +122,12 @@ type coalescer struct {
 	closed        bool
 }
 
-func newCoalescer(window time.Duration, maxBatch int, pool *pool, reg *Registry, met *Metrics, disableKernel bool) *coalescer {
+func newCoalescer(maxBatch int, pool *pool, reg *Registry, met *Metrics, disableKernel bool) *coalescer {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
 	return &coalescer{
 		groups:        make(map[string]*colorGroup),
-		window:        window,
 		maxBatch:      maxBatch,
 		pool:          pool,
 		reg:           reg,
@@ -126,104 +137,88 @@ func newCoalescer(window time.Duration, maxBatch int, pool *pool, reg *Registry,
 }
 
 // enqueue admits one singleton lookup and returns the channel its result
-// will arrive on. With batching disabled (window 0 or maxBatch 1) the job
-// is submitted immediately as a batch of one; otherwise it joins the
-// armed group for its mapping key, which flushes when it reaches maxBatch
-// or when the flush window elapses, whichever comes first. ok=false means
-// the coalescer is shut down (the caller maps this to 503).
+// will arrive on. The lookup joins its mapping key's open group if there
+// is one; otherwise it opens a group and queues it on the pool at once.
+// A group stays open until a worker takes it or it reaches maxBatch, so
+// maxBatch 1 turns batching off. ok=false means the coalescer is shut
+// down (the caller maps this to 503).
 func (c *coalescer) enqueue(spec MappingSpec, n tree.Node, tr *obsv.Trace) (<-chan colorResult, bool) {
 	job := colorJob{node: n, out: make(chan colorResult, 1), tr: tr}
 	if tr != nil {
 		job.enq = time.Now()
 	}
+	key := spec.Key()
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, false
 	}
-	if c.window <= 0 || c.maxBatch <= 1 {
+	if g := c.groups[key]; g != nil {
+		g.jobs = append(g.jobs, job)
+		if len(g.jobs) >= c.maxBatch {
+			delete(c.groups, key) // full: sealed, and already queued
+		}
 		c.mu.Unlock()
-		c.submit(&colorGroup{spec: spec, jobs: []colorJob{job}})
 		return job.out, true
 	}
-	key := spec.Key()
-	g := c.groups[key]
-	if g == nil {
-		g = &colorGroup{spec: spec}
+	g := &colorGroup{spec: spec, key: key, jobs: []colorJob{job}}
+	if c.maxBatch > 1 {
 		c.groups[key] = g
-		g.timer = time.AfterFunc(c.window, func() { c.flushKey(key, g) })
-	}
-	g.jobs = append(g.jobs, job)
-	if len(g.jobs) >= c.maxBatch {
-		c.detachLocked(key, g)
-		c.mu.Unlock()
-		c.submit(g)
-		return job.out, true
 	}
 	c.mu.Unlock()
+	c.submit(g)
 	return job.out, true
 }
 
-// detachLocked removes a group from the pending map and disarms its timer.
-// Caller holds c.mu.
-func (c *coalescer) detachLocked(key string, g *colorGroup) {
-	if g.flushed {
-		return
-	}
-	g.flushed = true
-	if g.timer != nil {
-		g.timer.Stop()
-	}
-	if c.groups[key] == g {
-		delete(c.groups, key)
-	}
-}
-
-// flushKey is the timer callback: flush the group if it is still armed.
-func (c *coalescer) flushKey(key string, g *colorGroup) {
+// seal closes g to joiners; its jobs are fixed from here on.
+func (c *coalescer) seal(g *colorGroup) {
 	c.mu.Lock()
-	if g.flushed {
-		c.mu.Unlock()
+	if c.groups[g.key] == g {
+		delete(c.groups, g.key)
+	}
+	c.mu.Unlock()
+}
+
+// submit queues a newly opened group on the worker pool. Each group is
+// queued once, when it opens, and holds at least one admitted request, so
+// the queue (sized to the admission limit) cannot overflow; a full queue
+// here is a server bug or a shutdown race. The group is then sealed and
+// its jobs failed rather than dropped silently, and the rejection is
+// visible in /metrics: one batches_rejected tick plus one rejected_429
+// tick per failed job (each surfaces to its caller as 429).
+func (c *coalescer) submit(g *colorGroup) {
+	g.queued = time.Now()
+	if c.pool.trySubmit(func() { c.runBatch(g) }) {
 		return
 	}
-	c.detachLocked(key, g)
-	c.mu.Unlock()
-	c.submit(g)
-}
-
-// submit hands a detached group to the worker pool. The queue is sized to
-// the admission limit, so a full queue here is a server bug or a shutdown
-// race; jobs are failed rather than dropped silently, and the rejection
-// is visible in /debug/vars: one batches_rejected tick plus one
-// rejected_429 tick per failed job (each surfaces to its caller as 429).
-func (c *coalescer) submit(g *colorGroup) {
-	g.submitted = time.Now()
-	if !c.pool.trySubmit(func() { c.runBatch(g) }) {
-		c.met.batchesRejected.Add(1)
-		c.met.rejected429.Add(int64(len(g.jobs)))
-		for _, job := range g.jobs {
-			job.out <- colorResult{err: errOverloaded}
-		}
+	c.seal(g) // before failing: no joiner may slip in unanswered
+	c.met.batchesRejected.Add(1)
+	c.met.rejected429.Add(int64(len(g.jobs)))
+	for _, job := range g.jobs {
+		job.out <- colorResult{err: errOverloaded}
 	}
 }
 
-// runBatch resolves the mapping once and answers every job in the group.
-// It runs on a pool worker under a pprof label carrying the mapping key,
-// so CPU profiles segment batch work by mapping spec.
+// runBatch seals the group, then resolves the mapping once and answers
+// every job in it. The seal comes before anything else, the modeled
+// access time included. The batch runs on a pool worker under a pprof
+// label carrying the mapping key, so CPU profiles segment batch work by
+// mapping spec.
 func (c *coalescer) runBatch(g *colorGroup) {
-	pprof.Do(context.Background(), pprof.Labels("mapping", g.spec.Key()), func(context.Context) {
+	c.seal(g)
+	c.pool.access()
+	pprof.Do(context.Background(), pprof.Labels("mapping", g.key), func(context.Context) {
 		begin := time.Now()
 		for _, job := range g.jobs {
 			if job.tr != nil {
-				job.tr.RecordSpan(obsv.StageCoalesceWait, job.enq, g.submitted.Sub(job.enq))
-				job.tr.RecordSpan(obsv.StageAdmissionWait, g.submitted, begin.Sub(g.submitted))
+				// A joiner arrives after its group was queued: it has no
+				// coalesce wait, and its admission wait starts on arrival.
+				wait := max(g.queued.Sub(job.enq), 0)
+				job.tr.RecordSpan(obsv.StageCoalesceWait, job.enq, wait)
+				start := job.enq.Add(wait)
+				job.tr.RecordSpan(obsv.StageAdmissionWait, start, begin.Sub(start))
 			}
-		}
-		c.met.batchesFlushed.Add(1)
-		c.met.batchSize.Observe(int64(len(g.jobs)))
-		if len(g.jobs) >= 2 {
-			c.met.coalescedJobs.Add(int64(len(g.jobs)))
 		}
 		acqStart := time.Now()
 		m, hit, err := c.reg.AcquireInfo(g.spec)
@@ -241,25 +236,18 @@ func (c *coalescer) runBatch(g *colorGroup) {
 			}
 			return
 		}
+		if len(g.jobs) >= 2 {
+			c.met.coalescedJobs.Add(int64(len(g.jobs)))
+		}
 		// Color every node first, reply second: spans must be fully
 		// recorded before a reply lets the handler Finish the trace.
-		modules := m.Modules()
 		nodes := make([]tree.Node, len(g.jobs))
 		for i := range g.jobs {
 			nodes[i] = g.jobs[i].node
 		}
 		dst := make([]int, len(g.jobs))
-		computeStart := time.Now()
-		kernel := false
-		if c.disableKernel {
-			for i, n := range nodes {
-				dst[i] = m.Color(n)
-			}
-		} else {
-			kernel = coloring.ColorBatch(m, dst, nodes)
-		}
-		computeDur := time.Since(computeStart)
-		c.met.recordBatchCompute(kernel, computeDur)
+		computeStart, computeDur := c.colorBatch(m, dst, nodes)
+		modules := m.Modules()
 		for i := range g.jobs {
 			g.jobs[i].tr.RecordSpan(obsv.StageBatchCompute, computeStart, computeDur)
 			g.jobs[i].out <- colorResult{color: dst[i], modules: modules}
@@ -267,18 +255,39 @@ func (c *coalescer) runBatch(g *colorGroup) {
 	})
 }
 
-// shutdown flushes every armed group and stops accepting new jobs. The
-// worker pool stays alive (closed separately) so flushed jobs complete.
+// colorBatch is the compute step both /v1/color batch paths share, the
+// coalesced groups and the explicit nodes batches. It counts the batch
+// (batches_flushed, batch_size), colors nodes into dst with the mapping's
+// ColorBatch kernel (the per-node Color loop under DisableBatchKernel),
+// and accounts which path colored it and how long the compute took. It
+// returns the compute's start and duration for the batch_compute span.
+func (c *coalescer) colorBatch(m coloring.Mapping, dst []int, nodes []tree.Node) (time.Time, time.Duration) {
+	c.met.batchesFlushed.Add(1)
+	c.met.batchSize.Observe(int64(len(nodes)))
+	start := time.Now()
+	kernel := false
+	if c.disableKernel {
+		for i, n := range nodes {
+			dst[i] = m.Color(n)
+		}
+	} else {
+		kernel = coloring.ColorBatch(m, dst, nodes)
+	}
+	d := time.Since(start)
+	if kernel {
+		c.met.kernelBatches.Add(1)
+	} else {
+		c.met.fallbackBatches.Add(1)
+	}
+	c.met.batchComputeNS.Observe(d.Nanoseconds())
+	return start, d
+}
+
+// shutdown stops accepting new lookups. Every open group is already
+// queued, and the worker pool stays alive (closed separately), so the
+// lookups admitted before this call complete.
 func (c *coalescer) shutdown() {
 	c.mu.Lock()
 	c.closed = true
-	pending := make([]*colorGroup, 0, len(c.groups))
-	for key, g := range c.groups {
-		c.detachLocked(key, g)
-		pending = append(pending, g)
-	}
 	c.mu.Unlock()
-	for _, g := range pending {
-		c.submit(g)
-	}
 }

@@ -48,8 +48,7 @@ func captureBreachIncident(t *testing.T, dir string) *flightrec.Incident {
 		},
 		// Coalescing off and sequential traffic so the live chaos indexes
 		// line up one-to-one with the recorded window.
-		MaxBatch:    1,
-		FlushWindow: -1,
+		MaxBatch: 1,
 	}
 	cfg.flightManual = true
 	srv := New(cfg)
@@ -242,7 +241,7 @@ func TestWorstWindowFixtureReplay(t *testing.T) {
 // TestDebugSnapshotEndpoint: GET /debug/snapshot serves a decodable
 // manual incident of the live rings.
 func TestDebugSnapshotEndpoint(t *testing.T) {
-	srv := New(Config{MaxBatch: 1, FlushWindow: -1})
+	srv := New(Config{MaxBatch: 1})
 	ts := httptest.NewServer(srv.httpSrv.Handler)
 	defer func() {
 		ts.Close()
@@ -291,7 +290,7 @@ func TestDebugSnapshotEndpoint(t *testing.T) {
 // TestFlightRecDisabled: -no-flightrec leaves no recorder, a 404 on
 // the snapshot endpoint, and an untouched serving path.
 func TestFlightRecDisabled(t *testing.T) {
-	srv := New(Config{DisableFlightRec: true, MaxBatch: 1, FlushWindow: -1})
+	srv := New(Config{DisableFlightRec: true, MaxBatch: 1})
 	ts := httptest.NewServer(srv.httpSrv.Handler)
 	defer func() {
 		ts.Close()
@@ -341,7 +340,7 @@ func colorBody(t *testing.T, i int) []byte {
 func TestTapeRecordsWithFlightRecOff(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	tape := replay.NewTape(7)
-	srv := New(Config{DisableFlightRec: true, Tape: tape, MaxBatch: 1, FlushWindow: -1})
+	srv := New(Config{DisableFlightRec: true, Tape: tape, MaxBatch: 1})
 	ts := httptest.NewServer(srv.httpSrv.Handler)
 	defer func() {
 		ts.Close()
@@ -397,7 +396,7 @@ func TestTapeRecordsWithFlightRecOff(t *testing.T) {
 func TestCaptureOversizedBody(t *testing.T) {
 	tape := replay.NewTape(1)
 	small := colorBody(t, 1)
-	srv := New(Config{Tape: tape, MaxBodyBytes: int64(len(small)), MaxBatch: 1, FlushWindow: -1})
+	srv := New(Config{Tape: tape, MaxBodyBytes: int64(len(small)), MaxBatch: 1})
 	defer shutdownTestServer(t, srv)
 	big := append(bytes.Repeat([]byte(" "), len(small)), small...)
 	for _, body := range [][]byte{small, big} {
@@ -429,7 +428,7 @@ func TestCaptureOversizedBody(t *testing.T) {
 func TestCaptureRingHammer(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	tape := replay.NewTape(1)
-	cfg := Config{Tape: tape, MaxBatch: 1, FlushWindow: -1}
+	cfg := Config{Tape: tape, MaxBatch: 1}
 	cfg.flightManual = true
 	cfg.flightEvents = 8
 	srv := New(cfg)

@@ -185,7 +185,6 @@ func RunLoadGen(cfg LoadGenConfig, mode string) (LoadGenResult, error) {
 	srvCfg.Addr = "127.0.0.1:0"
 	if mode == "batch1" {
 		srvCfg.MaxBatch = 1
-		srvCfg.FlushWindow = -1 // negative → 0 after defaults: no coalescing
 	}
 	srv := New(srvCfg)
 	if err := srv.Start(); err != nil {

@@ -291,17 +291,6 @@ func storeSnapshot(st mapstore.Stats) StoreSnapshot {
 	}
 }
 
-// recordBatchCompute accounts one colored batch: which path colored it
-// (ColorBatch kernel vs per-node fallback) and how long the compute took.
-func (m *Metrics) recordBatchCompute(kernel bool, d time.Duration) {
-	if kernel {
-		m.kernelBatches.Add(1)
-	} else {
-		m.fallbackBatches.Add(1)
-	}
-	m.batchComputeNS.Observe(d.Nanoseconds())
-}
-
 // recordSim folds one /v1/simulate replay's engine counters into the
 // server-wide aggregates.
 func (m *Metrics) recordSim(st pms.Stats) {

@@ -59,9 +59,9 @@ func TestCoalescerOverloadRecordsRejection(t *testing.T) {
 		t.Fatal("could not fill the queue slot")
 	}
 
-	// Window 0 disables coalescing, so enqueue submits immediately and
-	// hits the full queue.
-	c := newCoalescer(0, 1, p, reg, met, false)
+	// A new group is queued as soon as it opens, so enqueue hits the
+	// full queue.
+	c := newCoalescer(1, p, reg, met, false)
 	out, ok := c.enqueue(modSpec(8, 3), NodeRef{Index: 0, Level: 0}.Node(), nil)
 	if !ok {
 		t.Fatal("enqueue refused before shutdown")

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obsv"
 )
@@ -32,7 +31,7 @@ func debugRequests(t *testing.T, ts *httptest.Server) obsv.Snapshot {
 }
 
 func TestDebugRequestsRecordsStageSpans(t *testing.T) {
-	ts := httptest.NewServer(New(Config{FlushWindow: time.Millisecond}).Handler())
+	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
 
 	spec := modSpec(10, 7)

@@ -62,7 +62,7 @@ type ReplayBenchResult struct {
 }
 
 // replayServerConfig derives the deterministic replay configuration from
-// the recorded run's server config: no coalescing window (replay is
+// the recorded run's server config: no coalescing (replay is
 // sequential), no trace sampling (sampling draws randomness).
 func replayServerConfig(base Config) Config {
 	c := base
@@ -70,7 +70,6 @@ func replayServerConfig(base Config) Config {
 	c.Middleware = nil
 	c.Tape = nil
 	c.MaxBatch = 1
-	c.FlushWindow = -1
 	c.TraceSampleRate = -1
 	// Replay servers keep the flight recorder for event capture but never
 	// run its background watchdog (timer nondeterminism) or write

@@ -17,7 +17,7 @@ import (
 
 // TestShutdownDrainsWithoutGoroutineLeak serves real HTTP traffic, shuts
 // down, and verifies every goroutine the server started (worker pool,
-// coalescer flush timers, connection handlers) has exited.
+// connection handlers) has exited.
 func TestShutdownDrainsWithoutGoroutineLeak(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 

@@ -6,9 +6,10 @@
 //   - a sharded registry lazily materializes mappings (COLOR retriever
 //     tables, LABEL-TREE micro tables, baselines) under an LRU byte
 //     budget, so hot specs are built once and shared;
-//   - singleton color lookups coalesce into batches within a small flush
-//     window, amortizing registry resolution and dispatch over many
-//     concurrent requests;
+//   - singleton color lookups coalesce by group commit: a lookup's group
+//     is queued on the worker pool at once, and lookups for the same
+//     mapping join it until a worker takes it, so batches form only while
+//     the workers are busy and amortize registry resolution and dispatch;
 //   - a bounded worker pool applies backpressure: past the inflight limit
 //     the server answers 429 + Retry-After instead of queueing unboundedly;
 //   - shutdown is graceful: accepted requests drain to completion while
@@ -59,11 +60,10 @@ type Config struct {
 	// MaxInflight bounds admitted-but-unfinished requests; beyond it the
 	// server sheds load with 429 (default 256).
 	MaxInflight int
-	// FlushWindow is how long a singleton color lookup may wait for
-	// companions before its batch flushes (default 500µs; 0 disables
-	// coalescing).
-	FlushWindow time.Duration
-	// MaxBatch caps a coalesced batch (default 64; 1 disables coalescing).
+	// MaxBatch caps a group-commit batch of singleton color lookups
+	// (default 64; 1 disables coalescing). A group is queued as soon as it
+	// opens and takes joiners until a worker picks it up, so an idle
+	// worker serves a lookup at once.
 	MaxBatch int
 	// CacheBudgetBytes bounds the mapping registry (default 256 MiB).
 	CacheBudgetBytes int64
@@ -105,8 +105,9 @@ type Config struct {
 	// TraceSlowest is how many of the slowest complete traces
 	// /debug/requests retains (default 32).
 	TraceSlowest int
-	// WorkerDelay injects per-task latency in the worker pool. Load and
-	// backpressure testing only; leave zero in production.
+	// WorkerDelay injects per-task latency in the worker pool, slept by
+	// each task after a coalesced group is sealed. Load and backpressure
+	// testing only; leave zero in production.
 	WorkerDelay time.Duration
 	// DisableBatchKernel forces the per-node Color interface loop in both
 	// batch paths instead of the mappings' ColorBatch kernels. A/B
@@ -184,12 +185,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 256
-	}
-	if c.FlushWindow == 0 {
-		c.FlushWindow = 500 * time.Microsecond
-	}
-	if c.FlushWindow < 0 {
-		c.FlushWindow = 0
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -295,7 +290,7 @@ func New(cfg Config) *Server {
 		met:  met,
 		reg:  reg,
 		pool: p,
-		coal: newCoalescer(cfg.FlushWindow, cfg.MaxBatch, p, reg, met, cfg.DisableBatchKernel),
+		coal: newCoalescer(cfg.MaxBatch, p, reg, met, cfg.DisableBatchKernel),
 		trc:  obsv.New(obsv.Config{SampleRate: cfg.TraceSampleRate, SlowestN: cfg.TraceSlowest}),
 	}
 	if !cfg.DisableDomainMetrics {
@@ -392,12 +387,13 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
-// Shutdown drains gracefully: new requests are refused with 503, armed
-// batches are flushed, in-flight handlers run to completion (bounded by
-// ctx), and only then do the workers exit. With a store attached, the
-// resident memory tier is then flushed to disk (persisting the warm set)
-// and the store closed — strictly after the workers, because mmap-backed
-// mappings are invalid once the store unmaps its regions.
+// Shutdown drains gracefully: new requests are refused with 503, the
+// coalescer's open groups (all already queued) run, in-flight handlers
+// run to completion (bounded by ctx), and only then do the workers
+// exit. With a store attached, the resident memory tier is then flushed
+// to disk (persisting the warm set) and the store closed — strictly after
+// the workers, because mmap-backed mappings are invalid once the store
+// unmaps its regions.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	// Stop the watchdog first: a mid-drain tick would snapshot a server
@@ -583,6 +579,7 @@ func (s *Server) runTask(tr *obsv.Trace, spec MappingSpec, fn func()) *apiError 
 	done := make(chan struct{})
 	task := func() {
 		defer close(done)
+		s.pool.access()
 		if tr != nil {
 			tr.RecordSpan(obsv.StageAdmissionWait, submitted, time.Since(submitted))
 		}
@@ -688,26 +685,14 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 			taskErr = err
 			return
 		}
-		s.met.batchesFlushed.Add(1)
-		s.met.batchSize.Observe(int64(len(nodes)))
-		endCompute := tr.StartSpan(obsv.StageBatchCompute)
-		resp.Modules = m.Modules()
-		resp.Colors = make([]int, len(nodes))
 		batch := make([]tree.Node, len(nodes))
 		for i, nr := range nodes {
 			batch[i] = nr.Node()
 		}
-		computeStart := time.Now()
-		kernel := false
-		if s.cfg.DisableBatchKernel {
-			for i, n := range batch {
-				resp.Colors[i] = m.Color(n)
-			}
-		} else {
-			kernel = coloring.ColorBatch(m, resp.Colors, batch)
-		}
-		s.met.recordBatchCompute(kernel, time.Since(computeStart))
-		endCompute()
+		resp.Modules = m.Modules()
+		resp.Colors = make([]int, len(nodes))
+		computeStart, computeDur := s.coal.colorBatch(m, resp.Colors, batch)
+		tr.RecordSpan(obsv.StageBatchCompute, computeStart, computeDur)
 	}); aerr != nil {
 		writeError(w, aerr)
 		return
@@ -986,6 +971,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // String summarizes the live config for startup logging.
 func (c Config) String() string {
-	return fmt.Sprintf("workers=%d maxInflight=%d flushWindow=%s maxBatch=%d cacheBudget=%dMiB",
-		c.Workers, c.MaxInflight, c.FlushWindow, c.MaxBatch, c.CacheBudgetBytes>>20)
+	return fmt.Sprintf("workers=%d maxInflight=%d maxBatch=%d cacheBudget=%dMiB",
+		c.Workers, c.MaxInflight, c.MaxBatch, c.CacheBudgetBytes>>20)
 }

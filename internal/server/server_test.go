@@ -244,16 +244,39 @@ func TestSimulateMatchesDirectReplay(t *testing.T) {
 	}
 }
 
-// TestCoalescing proves concurrent singleton lookups share batches: with
-// the worker gated, requests pile into the flush window and the server
-// must answer all of them from strictly fewer flushed batches.
+// openJobs returns how many lookups the coalescer's open group for spec
+// holds (0 when there is none), read under the coalescer's lock.
+func openJobs(c *coalescer, spec MappingSpec) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if g := c.groups[spec.Key()]; g != nil {
+		return len(g.jobs)
+	}
+	return 0
+}
+
+// waitOpenJobs polls until spec's open group holds n lookups.
+func waitOpenJobs(t *testing.T, c *coalescer, spec MappingSpec, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for openJobs(c, spec) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("open group holds %d lookups, want %d", openJobs(c, spec), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestCoalescing proves concurrent singleton lookups share batches: the
+// first lookup's group is queued at once, the gated worker takes it but
+// cannot seal it yet, so every later lookup joins it and the server
+// answers all of them from one flushed batch.
 func TestCoalescing(t *testing.T) {
 	gate := make(chan struct{})
 	srv := New(Config{
-		Workers:     1,
-		FlushWindow: 2 * time.Millisecond,
-		MaxBatch:    64,
-		workerHook:  func() { <-gate },
+		Workers:    1,
+		MaxBatch:   64,
+		workerHook: func() { <-gate },
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -280,8 +303,8 @@ func TestCoalescing(t *testing.T) {
 			}
 		}(c)
 	}
-	// Let requests accumulate in the window before releasing the worker.
-	time.Sleep(20 * time.Millisecond)
+	// Release the worker only once the open group holds every lookup.
+	waitOpenJobs(t, srv.coal, spec, clients)
 	close(gate)
 	wg.Wait()
 	close(errs)
@@ -290,11 +313,11 @@ func TestCoalescing(t *testing.T) {
 	}
 
 	snap := srv.Metrics().Snapshot()
-	if snap.BatchesFlushed >= clients {
-		t.Errorf("batches_flushed = %d, want < %d (no coalescing happened)", snap.BatchesFlushed, clients)
+	if snap.BatchesFlushed != 1 {
+		t.Errorf("batches_flushed = %d, want 1", snap.BatchesFlushed)
 	}
-	if snap.CoalescedJobs == 0 {
-		t.Error("coalesced_jobs = 0, want > 0")
+	if snap.CoalescedJobs != clients {
+		t.Errorf("coalesced_jobs = %d, want %d", snap.CoalescedJobs, clients)
 	}
 	if snap.Color.Requests != clients {
 		t.Errorf("color requests = %d, want %d", snap.Color.Requests, clients)
@@ -309,7 +332,7 @@ func TestBackpressure(t *testing.T) {
 	srv := New(Config{
 		Workers:     1,
 		MaxInflight: maxInflight,
-		FlushWindow: -1, // no coalescing: one request = one task
+		MaxBatch:    1, // no coalescing: one request = one task
 		workerHook:  func() { <-gate },
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -371,13 +394,23 @@ func TestBackpressure(t *testing.T) {
 }
 
 // TestGracefulShutdownDrains verifies that Shutdown completes every
-// accepted request while refusing new ones.
+// accepted request while refusing new ones: with batching off (one task
+// per lookup), and with batching on, where the admitted lookups sit in
+// one open, already queued group when Shutdown starts.
 func TestGracefulShutdownDrains(t *testing.T) {
+	for _, maxBatch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("max_batch=%d", maxBatch), func(t *testing.T) {
+			testGracefulShutdownDrains(t, maxBatch)
+		})
+	}
+}
+
+func testGracefulShutdownDrains(t *testing.T, maxBatch int) {
 	gate := make(chan struct{})
 	srv := New(Config{
 		Workers:     2,
 		MaxInflight: 8,
-		FlushWindow: -1,
+		MaxBatch:    maxBatch,
 		Addr:        "127.0.0.1:0",
 		workerHook:  func() { <-gate },
 	})
@@ -410,6 +443,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			t.Fatal("requests were not admitted in time")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if maxBatch > 1 {
+		waitOpenJobs(t, srv.coal, spec, accepted)
 	}
 
 	shutdownDone := make(chan error, 1)

@@ -6,9 +6,9 @@
 # a scripted request mix:
 #
 #   1. health + each API endpoint answers 200 with sane payloads;
-#   2. a parallel singleton burst must coalesce: /debug/vars has to
-#      report non-zero coalesced_jobs and fewer flushed batches than
-#      requests;
+#   2. a parallel singleton burst must coalesce: across the burst,
+#      /metrics has to show coalesced jobs and fewer flushed batches than
+#      lookups served;
 #   3. a saturating burst must shed load with 429s while the admitted
 #      requests still complete with 200;
 #   4. SIGTERM drains gracefully and the process exits 0;
@@ -29,7 +29,7 @@ echo "== building pmsd"
 go build -o "$WORKDIR/pmsd" ./cmd/pmsd
 
 "$WORKDIR/pmsd" -addr 127.0.0.1:0 -workers 1 -max-inflight 4 \
-    -flush 20ms -max-batch 64 -worker-delay 100ms >"$WORKDIR/pmsd.log" 2>&1 &
+    -max-batch 64 -worker-delay 100ms >"$WORKDIR/pmsd.log" 2>&1 &
 SERVER_PID=$!
 
 for _ in $(seq 1 100); do
@@ -91,19 +91,27 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/color" -d 'not j
 [ "$code" = 400 ] || fail "malformed body returned $code, want 400"
 
 echo "== coalescing burst"
-# 8 concurrent singletons against one spec; the 20ms flush window (and the
-# worker being busy) must merge them into fewer flushed batches.
+# 8 concurrent singletons against one spec. The one worker sleeps 100ms
+# per batch, so lookups that arrive while it is busy join the queued
+# group for their spec: the burst must flush fewer batches than it had
+# lookups served (past -max-inflight 4 the rest are shed with 429).
+counter() { sed -n "s/^$1 \([0-9]*\)$/\1/p"; }
+BEFORE=$(curl -s "$BASE/metrics")
 pids=()
 for i in $(seq 0 7); do
-    curl -s -o /dev/null -X POST "$BASE/v1/color" \
-        -d '{"mapping":'"$MAPPING"',"node":{"index":'"$i"',"level":5}}' &
+    curl -s -o /dev/null -w '%{http_code}\n' -X POST "$BASE/v1/color" \
+        -d '{"mapping":'"$MAPPING"',"node":{"index":'"$i"',"level":5}}' >"$WORKDIR/coal.$i" &
     pids+=($!)
 done
 wait "${pids[@]}"
-VARS=$(curl -s "$BASE/debug/vars")
-coalesced=$(echo "$VARS" | grep -o '"coalesced_jobs":[0-9]*' | cut -d: -f2)
-[ "${coalesced:-0}" -gt 0 ] || fail "metrics report zero batch coalescing: $VARS"
-echo "   coalesced_jobs=$coalesced"
+AFTER=$(curl -s "$BASE/metrics")
+served=$(cat "$WORKDIR"/coal.* | grep -c '^200$' || true)
+flushed=$(( $(echo "$AFTER" | counter pmsd_batches_flushed_total) - $(echo "$BEFORE" | counter pmsd_batches_flushed_total) ))
+coalesced=$(( $(echo "$AFTER" | counter pmsd_coalesced_jobs_total) - $(echo "$BEFORE" | counter pmsd_coalesced_jobs_total) ))
+[ "$flushed" -lt 8 ] && [ "$flushed" -lt "$served" ] ||
+    fail "8 concurrent lookups ($served served) flushed $flushed batches, want fewer than both: $AFTER"
+[ "$coalesced" -gt 0 ] || fail "the burst coalesced no jobs: $AFTER"
+echo "   served=$served batches_flushed=+$flushed coalesced_jobs=+$coalesced"
 
 echo "== prometheus exposition"
 # The request mix above exercised every accounted path: /metrics must
