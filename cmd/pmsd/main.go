@@ -12,12 +12,6 @@
 // SIGINT/SIGTERM trigger a graceful drain: accepted requests complete,
 // new ones are refused.
 //
-// Load-generator mode benchmarks the serving path end to end over real
-// HTTP, once with coalescing and once with batch size 1, and writes the
-// comparison as a JSON snapshot:
-//
-//	pmsd -loadgen -requests 20000 -clients 32 -dist zipf -bench-out BENCH_pr2.json
-//
 // Chaos mode wraps the serving path in the deterministic fault
 // injector (internal/faultinject): latency spikes, 5xx/429 bursts,
 // connection resets, slow-body drips and partial batch failures, all
@@ -25,39 +19,15 @@
 //
 //	pmsd -chaos -chaos-seed 42 -chaos-latency 0.1 -chaos-reset 0.02
 //
-// Chaos-bench mode drives the resilient client (internal/client)
-// against an in-process chaotic server twice — hedging off, then on —
-// under the identical fault schedule, and records the tail-latency
-// comparison:
-//
-//	pmsd -chaos-bench -chaos-seed 42 -chaos-latency 0.1 -bench-out BENCH_pr3.json
-//
 // Request tracing samples per-request stage spans (admission wait,
 // coalesce wait, registry acquire, batch compute, response write) into
 // GET /debug/requests; -trace-sample sets the sampling rate (0 turns it
-// off) and -trace-slowest sizes the slowest-trace buffer. Trace-bench
-// mode measures what the tracing layer itself costs by running the
-// loadgen workload with tracing off, sampled at 0.01, and at full
-// sampling:
-//
-//	pmsd -trace-bench -requests 12000 -clients 32 -dist zipf -bench-out BENCH_pr4.json
+// off) and -trace-slowest sizes the slowest-trace buffer.
 //
 // Domain metrics (per-module access accounting, template-family conflict
 // histograms, the theorem-bound monitor) are on by default and rendered
 // by GET /metrics in Prometheus text format alongside /debug/vars;
-// -no-domain-metrics turns the accounting layer off. Metrics-bench mode
-// prices that layer by running the template-cost workload with
-// accounting off and on:
-//
-//	pmsd -metrics-bench -requests 12000 -clients 32 -dist zipf -bench-out BENCH_pr5.json
-//
-// Retrieval-bench mode prices the ColorBatch kernels against the
-// per-node Mapping.Color interface path, in-process per (alg, batch
-// size) and then on the real serving path with the kernel enabled and
-// disabled (the kernel metrics series and batch_compute stage
-// histograms are the evidence trail):
-//
-//	pmsd -retrieval-bench -levels 20 -bench-out BENCH_pr6.json
+// -no-domain-metrics turns the accounting layer off.
 //
 // With -store-dir the mapping registry gains a disk tier: evicted
 // table-backed mappings spill into a crash-safe mmap store instead of
@@ -67,13 +37,6 @@
 //
 //	pmsd -addr :8080 -store-dir /var/lib/pmsd -store-budget 1024 -store-warm 64
 //
-// Store-bench mode prices the tier: cold materialization vs warm
-// disk acquire per spec (min-of-reps, headlined by the largest COLOR
-// retriever table) plus the tier hit ratio under a Zipf spec mix
-// through a deliberately tiny memory tier:
-//
-//	pmsd -store-bench -bench-out BENCH_pr7.json
-//
 // Trace record/replay: -record FILE tapes every /v1 POST (path, tenant,
 // body) in arrival order — read once, by the same capture point that
 // feeds the flight recorder, and with or without -no-flightrec — and
@@ -81,14 +44,10 @@
 // on shutdown; -replay FILE replays a trace sequentially against a fresh
 // in-process deterministic server (coalescing and trace sampling off)
 // and prints the response digest — the same trace always yields the
-// same digest. Replay-bench mode records a Zipf-skewed multi-tenant
-// mixed workload (color / template-cost / range / heap endpoints),
-// replays it twice and verifies the digests match bit for bit with the
-// theorem-bound monitor at zero violations:
+// same digest:
 //
 //	pmsd -addr :8080 -record /tmp/run.pmstrc
 //	pmsd -replay /tmp/run.pmstrc
-//	pmsd -replay-bench -requests 4000 -tenants 8 -bench-out BENCH_pr8.json
 //
 // The adaptive mapping controller (-controller) closes the loop on the
 // paper's COLOR vs LABEL-TREE vs arithmetic trade-off per registry
@@ -97,11 +56,9 @@
 // kernels, and migrates the entry when a candidate beats the serving
 // mapping by a hysteresis margin — persisting the decision through the
 // mapstore manifest so -store-warm restarts re-serve the migrated
-// algorithm. Controller-bench mode runs the S-heavy → P-heavy
-// phase-shift comparison against each static mapping:
+// algorithm:
 //
 //	pmsd -addr :8080 -controller -controller-interval 2s -shadow-sample 0.25
-//	pmsd -controller-bench -bench-out BENCH_pr9.json
 //
 // Forensics (internal/flightrec): an always-on flight recorder keeps
 // bounded rings of per-request captures (the event plus the request
@@ -112,13 +69,14 @@
 // a checksummed PMSINC1 incident snapshot whose event journal and
 // replayable PMSTRC1 request window come from the same captures.
 // GET /debug/snapshot serves a manual snapshot; pmsdoctor analyzes and
-// replays incident files.
-// Logs are structured (log/slog); -log-format picks text or json.
-// Forensics-bench mode prices the recorder on the serving hot path by
-// running the mixed workload with the recorder off and fully on:
+// replays incident files:
 //
 //	pmsd -addr :8080 -flightrec-dir /var/lib/pmsd/incidents -slo-error-rate 5 -slo-p99 50ms
-//	pmsd -forensics-bench -requests 12000 -clients 32 -dist zipf -bench-out BENCH_pr10.json
+//
+// Logs are structured (log/slog); -log-format picks text or json.
+//
+// pmsd's performance is measured by pmsbench (bench/, run with
+// `bash bench/run.sh`), which drives a real pmsd process over HTTP.
 package main
 
 import (
@@ -132,18 +90,16 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/faultinject"
 	"repro/internal/flightrec"
 	"repro/internal/mapstore"
 	"repro/internal/replay"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = auto: 4 serving, 2 in loadgen)")
+	workers := flag.Int("workers", 0, "worker pool size (0 = default 4)")
 	maxInflight := flag.Int("max-inflight", 256, "admitted-request limit before 429s")
 	flush := flag.Duration("flush", 500*time.Microsecond, "alias kept for old scripts: 0 sets -max-batch 1 (no batching); any other value does nothing")
 	maxBatch := flag.Int("max-batch", 64, "max coalesced batch size (1 disables batching)")
@@ -151,37 +107,19 @@ func main() {
 	workerDelay := flag.Duration("worker-delay", 0, "injected per-task latency (load/backpressure testing only)")
 	traceSample := flag.Float64("trace-sample", 1, "request-trace sampling rate in [0,1] (0 disables tracing)")
 	traceSlowest := flag.Int("trace-slowest", 32, "slowest-trace buffer size for /debug/requests")
-
-	loadgen := flag.Bool("loadgen", false, "run the load generator instead of serving")
-	accessTime := flag.Duration("access-time", time.Millisecond,
-		"loadgen: modeled service time of one parallel memory access (what batching amortizes)")
-	clients := flag.Int("clients", 32, "loadgen: concurrent clients")
-	requests := flag.Int("requests", 20000, "loadgen: total request budget")
-	dist := flag.String("dist", "uniform", "loadgen: key distribution: uniform|zipf|sequential")
-	seed := flag.Int64("seed", 1, "loadgen: workload seed; serve mode: seed stamped into the -record trace header")
-	levels := flag.Int("levels", 20, "loadgen: tree levels of the queried mapping")
-	mExp := flag.Int("m", 4, "loadgen: canonical COLOR exponent (modules = 2^m - 1)")
-	benchOut := flag.String("bench-out", "", "loadgen/chaos-bench: write the JSON comparison snapshot to this file")
+	seed := flag.Int64("seed", 1, "seed stamped into the -record trace header")
 
 	controller := flag.Bool("controller", false, "enable the adaptive mapping controller (classify live template mix, shadow-score candidates, migrate registry entries)")
 	controllerInterval := flag.Duration("controller-interval", 2*time.Second, "controller: policy tick interval")
 	shadowSample := flag.Float64("shadow-sample", 0.25, "controller: fraction of template traffic sampled for shadow scoring (0 disables sampling)")
-	controllerBench := flag.Bool("controller-bench", false, "run the S-heavy → P-heavy phase-shift comparison: adaptive controller vs each static mapping")
 
 	storeDir := flag.String("store-dir", "", "disk-tier store directory (empty disables the tier)")
 	storeBudget := flag.Int64("store-budget", 1024, "disk-tier byte budget, in MiB")
 	storeTTL := flag.Duration("store-ttl", 0, "disk-tier entry TTL (0 keeps entries until the budget evicts them)")
 	storeWarm := flag.Int("store-warm", 64, "warm-start: pre-admit up to this many of the store's hottest specs")
-	storeBench := flag.Bool("store-bench", false, "price the disk tier (cold materialize vs warm disk acquire, Zipf tier hit ratio)")
 
-	traceBench := flag.Bool("trace-bench", false, "measure request-tracing overhead (off vs 0.01 vs full sampling)")
-	retrievalBench := flag.Bool("retrieval-bench", false, "price the ColorBatch kernels vs the per-node interface path")
-	benchNodes := flag.Int("bench-nodes", 2_000_000, "retrieval-bench: node budget per (alg, batch size) case")
-	metricsBench := flag.Bool("metrics-bench", false, "measure domain-accounting overhead (off vs on) on the template-cost path")
-	disableKernel := flag.Bool("disable-batch-kernel", false, "force the per-node Color interface loop (kernel A/B baseline)")
 	noDomainMetrics := flag.Bool("no-domain-metrics", false, "disable the domain-accounting layer (module loads, conflict histograms, bound monitor)")
 	chaos := flag.Bool("chaos", false, "serve with fault injection enabled")
-	chaosBench := flag.Bool("chaos-bench", false, "benchmark the resilient client against an in-process chaotic server (hedging off vs on)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: fault schedule seed (same seed = same schedule)")
 	chaosLatency := flag.Float64("chaos-latency", 0.1, "chaos: per-request latency-spike probability")
 	chaosLatencyMin := flag.Duration("chaos-latency-min", 10*time.Millisecond, "chaos: min latency spike")
@@ -192,7 +130,6 @@ func main() {
 	chaosReset := flag.Float64("chaos-reset", 0, "chaos: per-request connection-reset probability")
 	chaosDrip := flag.Float64("chaos-drip", 0, "chaos: per-request slow-body-drip probability")
 	chaosPartial := flag.Float64("chaos-partial", 0, "chaos: per-request partial-body probability")
-	hedgeDelay := flag.Duration("hedge-delay", 5*time.Millisecond, "chaos-bench: hedged-read delay for the hedged run")
 
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	noFlightRec := flag.Bool("no-flightrec", false, "disable the always-on flight recorder and SLO watchdog")
@@ -205,12 +142,9 @@ func main() {
 	sloMaxMigrations := flag.Int("slo-max-migrations", 0, "SLO: max controller migrations per window (0 disables the rule)")
 	sloMinRequests := flag.Int("slo-min-requests", 0, "SLO: min events in a window before rate/percentile rules may breach (0 = default 20)")
 	sloSnapshotEvery := flag.Duration("slo-snapshot-every", 0, "SLO: min interval between watchdog incident snapshots (0 = default 30s)")
-	forensicsBench := flag.Bool("forensics-bench", false, "price the flight recorder (off vs fully on) on the mixed serving workload")
 
 	recordFile := flag.String("record", "", "serve mode: record mutating requests into this PMSTRC1 trace file on shutdown")
 	replayFile := flag.String("replay", "", "replay a PMSTRC1 trace against a fresh deterministic in-process server, print the digest, exit")
-	replayBench := flag.Bool("replay-bench", false, "record a Zipf multi-tenant mixed workload, replay it twice, verify determinism")
-	tenants := flag.Int("tenants", 8, "loadgen/replay-bench: tenant population for Zipf-skewed X-Tenant traffic (0 disables)")
 	tenantMaxInflight := flag.Int("tenant-max-inflight", 0, "per-tenant admitted-request cap (0 = the global limit, i.e. fairness off)")
 	maxTenants := flag.Int("max-tenants", 64, "bounded per-tenant accounting table size (overflow lands in the 'other' bucket)")
 	flag.Parse()
@@ -312,7 +246,6 @@ func main() {
 		MaxTenants:        *maxTenants,
 
 		DisableDomainMetrics: *noDomainMetrics,
-		DisableBatchKernel:   *disableKernel,
 
 		Controller:         *controller,
 		ControllerInterval: *controllerInterval,
@@ -360,9 +293,6 @@ func main() {
 		cfg.TraceSampleRate = -1 // same idiom: 0 means "default" to Config
 	}
 
-	if *tenants < 0 {
-		fail("-tenants must be non-negative, got %d", *tenants)
-	}
 	if *tenantMaxInflight < 0 {
 		fail("-tenant-max-inflight must be non-negative, got %d", *tenantMaxInflight)
 	}
@@ -384,338 +314,6 @@ func main() {
 		fmt.Printf("bound checks %d, violations %d\n", checks, violations)
 		if violations != 0 {
 			os.Exit(1)
-		}
-		return
-	}
-
-	if *replayBench {
-		res, err := server.RunReplayBench(server.ReplayBenchConfig{
-			Load: server.LoadGenConfig{
-				Mapping:  server.MappingSpec{Alg: "color", Levels: *levels, M: *mExp},
-				Clients:  *clients,
-				Requests: *requests,
-				Seed:     *seed,
-				Tenants:  *tenants,
-				Server:   cfg,
-			},
-			TracePath: *recordFile,
-		})
-		if err != nil && res.Recorded == 0 {
-			fatal(err) // the recording run failed: nothing to report
-		}
-		fmt.Printf("recorded %d requests (%d dropped, %d bytes on the wire, %d tenants, live %.0f req/s)\n",
-			res.Recorded, res.Dropped, res.TraceBytes, res.Tenants, res.RecordRPS)
-		fmt.Printf("replayed %d requests twice: deterministic=%v (%.0f req/s)\n",
-			res.ReplayRequests, res.Deterministic, res.ReplayRPS)
-		fmt.Printf("digest: %s\n", res.Digest)
-		fmt.Printf("bound checks %d, violations %d\n", res.BoundChecks, res.BoundViolations)
-		if *benchOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("snapshot written to %s\n", *benchOut)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *chaosBench {
-		cb := client.ChaosBenchConfig{
-			Mapping:    server.MappingSpec{Alg: "color", Levels: *levels, M: *mExp},
-			Clients:    *clients,
-			Requests:   *requests,
-			Seed:       *seed,
-			Chaos:      chaosCfg,
-			HedgeDelay: *hedgeDelay,
-			Client: client.Config{
-				MaxAttempts: 8,
-				BaseBackoff: 2 * time.Millisecond,
-				MaxBackoff:  100 * time.Millisecond,
-				Breaker:     client.BreakerConfig{FailureThreshold: -1},
-			},
-			Server: cfg,
-		}
-		switch *dist {
-		case "uniform":
-			cb.Dist = workload.Uniform
-		case "zipf":
-			cb.Dist = workload.Zipf
-		case "sequential":
-			cb.Dist = workload.Sequential
-		default:
-			fail("unknown distribution %q", *dist)
-		}
-		cmp, err := client.RunChaosBenchComparison(cb)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("unhedged: p50 %.0fus p95 %.0fus p99 %.0fus (%d ok, %d errors, %d retries)\n",
-			cmp.Unhedged.P50us, cmp.Unhedged.P95us, cmp.Unhedged.P99us,
-			cmp.Unhedged.Calls, cmp.Unhedged.Errors, cmp.Unhedged.Retries)
-		fmt.Printf("hedged:   p50 %.0fus p95 %.0fus p99 %.0fus (%d ok, %d errors, %d retries, %d hedges, %d wins)\n",
-			cmp.Hedged.P50us, cmp.Hedged.P95us, cmp.Hedged.P99us,
-			cmp.Hedged.Calls, cmp.Hedged.Errors, cmp.Hedged.Retries,
-			cmp.Hedged.Hedges, cmp.Hedged.HedgeWins)
-		fmt.Printf("hedged p99 speedup: %.2fx (chaos seed %d)\n", cmp.P99Speedup, cmp.ChaosSeed)
-		if *benchOut != "" {
-			data, err := json.MarshalIndent(cmp, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("snapshot written to %s\n", *benchOut)
-		}
-		return
-	}
-
-	if *controllerBench {
-		res, err := server.RunControllerBench(server.ControllerBenchConfig{
-			Levels:   *levels,
-			Requests: *requests,
-			Clients:  *clients,
-			Seed:     *seed,
-			Server:   cfg,
-		})
-		for _, sc := range []server.ControllerBenchScenario{
-			res.Controller, res.StaticLevelcyclic, res.StaticMod,
-		} {
-			fmt.Printf("%-20s %-24s → %-16s S-phase %6d conflicts (p99 %.0fus), P-phase %6d (p99 %.0fus), total %6d, migrations %d, violations %d\n",
-				sc.Mode+":", sc.RequestedKey, sc.EffectiveKey,
-				sc.SPhase.Conflicts, sc.SPhase.P99us,
-				sc.PPhase.Conflicts, sc.PPhase.P99us,
-				sc.TotalConflicts, sc.Migrations, sc.BoundViolations)
-		}
-		fmt.Printf("controller beats levelcyclic: %v, beats mod: %v (p99 ratio vs best static %.2f)\n",
-			res.BeatsLevelcyclic, res.BeatsMod, res.P99RatioVsBestStatic)
-		if *benchOut != "" {
-			data, merr := json.MarshalIndent(res, "", "  ")
-			if merr != nil {
-				fatal(merr)
-			}
-			if werr := os.WriteFile(*benchOut, append(data, '\n'), 0o644); werr != nil {
-				fatal(werr)
-			}
-			fmt.Printf("snapshot written to %s\n", *benchOut)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *storeBench {
-		rep, err := server.RunStoreBench(server.StoreBenchConfig{
-			Dir:    *storeDir,
-			Levels: *levels,
-			Seed:   *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		for _, cw := range rep.ColdWarm {
-			fmt.Printf("%-32s cold %8.2fms, warm %8.3fms, speedup %6.1fx (%d bytes on disk)\n",
-				cw.Key, float64(cw.ColdNS)/1e6, float64(cw.WarmNS)/1e6, cw.Speedup, cw.EntryBytes)
-		}
-		fmt.Printf("zipf mix: %d acquires over %d specs — %d memory hits, %d disk hits, %d materializations (tier hit ratio %.3f)\n",
-			rep.Mix.Requests, rep.Mix.Specs, rep.Mix.MemoryHits, rep.Mix.DiskHits,
-			rep.Mix.Materializes, rep.Mix.TierHitRatio)
-		if *benchOut != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("snapshot written to %s\n", *benchOut)
-		}
-		return
-	}
-
-	if *retrievalBench {
-		if *benchNodes < 1 {
-			fail("-bench-nodes must be at least 1, got %d", *benchNodes)
-		}
-		rep, err := server.RunRetrievalBench(server.RetrievalBenchConfig{
-			Levels:       *levels,
-			NodesPerCase: *benchNodes,
-			Seed:         *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		for _, k := range rep.Kernels {
-			fmt.Printf("%-32s batch %-5d kernel %6.2f ns/node, per-node %6.2f ns/node, speedup %5.2fx\n",
-				k.Mapping, k.BatchSize, k.KernelNSPerNode, k.PerNodeNSPerNode, k.Speedup)
-		}
-		for _, s := range rep.Serving {
-			fmt.Printf("serving %-24s batch %d: kernel %.0f nodes/s (compute %.0f ns/batch), per-node %.0f nodes/s (compute %.0f ns/batch), compute speedup %.2fx\n",
-				s.Mapping.Key(), s.BatchSize,
-				s.Kernel.NodesPerSec, s.Kernel.BatchComputeMeanNS,
-				s.PerNode.NodesPerSec, s.PerNode.BatchComputeMeanNS, s.ComputeSpeedup)
-		}
-		if *benchOut != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("snapshot written to %s\n", *benchOut)
-		}
-		return
-	}
-
-	if *loadgen || *traceBench || *metricsBench || *forensicsBench {
-		var distribution workload.Distribution
-		switch *dist {
-		case "uniform":
-			distribution = workload.Uniform
-		case "zipf":
-			distribution = workload.Zipf
-		case "sequential":
-			distribution = workload.Sequential
-		default:
-			fail("unknown distribution %q", *dist)
-		}
-		if *clients < 1 || *requests < 1 {
-			fail("-clients and -requests must be at least 1")
-		}
-		if *accessTime < 0 {
-			fail("-access-time must be non-negative")
-		}
-		// Each worker-pool task is one parallel memory operation; its
-		// service time is what coalescing amortizes across a batch,
-		// mirroring the paper's cycle model where a parallel access costs
-		// max-module-load cycles however many nodes it touches. The
-		// metrics bench skips the modeled delay: a millisecond of
-		// injected service time would drown the few atomic adds being
-		// priced. The forensics bench keeps it, like the trace bench:
-		// the recorder's price is quoted against the serving path as
-		// modeled, not against a zero-latency memory.
-		if cfg.WorkerDelay == 0 && !*metricsBench {
-			cfg.WorkerDelay = *accessTime
-		}
-		if cfg.Workers == 0 {
-			cfg.Workers = 2 // scarce memory ports by default, so capacity binds
-			if *metricsBench || *forensicsBench {
-				cfg.Workers = 4
-			}
-		}
-		lg := server.LoadGenConfig{
-			Mapping:  server.MappingSpec{Alg: "color", Levels: *levels, M: *mExp},
-			Clients:  *clients,
-			Requests: *requests,
-			Dist:     distribution,
-			Seed:     *seed,
-			Server:   cfg,
-		}
-
-		if *forensicsBench {
-			cmp, err := server.RunForensicsOverheadComparison(lg)
-			if err != nil && cmp.On.Requests == 0 {
-				fatal(err) // a run failed: nothing to report
-			}
-			for _, r := range []server.LoadGenResult{cmp.Off, cmp.On} {
-				fmt.Printf("%-12s p50 %.0fus p95 %.0fus p99 %.0fus (%.0f req/s, %d ok)\n",
-					r.Mode+":", r.P50us, r.P95us, r.P99us, r.ReqPerSec, r.Requests)
-			}
-			fmt.Printf("p50 overhead with flight recorder: %+.2f%%\n", cmp.OnP50OverheadPct)
-			fmt.Printf("events %d (evicted %d), breaches %d, bound violations %d\n",
-				cmp.Events, cmp.EventsEvicted, cmp.Breaches, cmp.BoundViolations)
-			if *benchOut != "" {
-				data, err := json.MarshalIndent(cmp, "", "  ")
-				if err != nil {
-					fatal(err)
-				}
-				if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("snapshot written to %s\n", *benchOut)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			return
-		}
-
-		if *metricsBench {
-			cmp, err := server.RunMetricsOverheadComparison(lg)
-			if err != nil {
-				fatal(err)
-			}
-			for _, r := range []server.LoadGenResult{cmp.Off, cmp.On} {
-				fmt.Printf("%-12s p50 %.0fus p95 %.0fus p99 %.0fus (%.0f req/s, %d ok)\n",
-					r.Mode+":", r.P50us, r.P95us, r.P99us, r.ReqPerSec, r.Requests)
-			}
-			fmt.Printf("p50 overhead with accounting: %+.2f%%\n", cmp.OnP50OverheadPct)
-			fmt.Printf("bound checks %d, violations %d, load ratio %.3f, accesses %d\n",
-				cmp.BoundChecks, cmp.BoundViolations, cmp.LoadRatio, cmp.AccessesTotal)
-			if *benchOut != "" {
-				data, err := json.MarshalIndent(cmp, "", "  ")
-				if err != nil {
-					fatal(err)
-				}
-				if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("snapshot written to %s\n", *benchOut)
-			}
-			return
-		}
-
-		if *traceBench {
-			cmp, err := server.RunTraceOverheadComparison(lg)
-			if err != nil {
-				fatal(err)
-			}
-			for _, r := range []server.LoadGenResult{cmp.Off, cmp.Sampled, cmp.Full} {
-				fmt.Printf("%-18s p50 %.0fus p95 %.0fus p99 %.0fus (%.0f req/s, %d ok)\n",
-					r.Mode+":", r.P50us, r.P95us, r.P99us, r.ReqPerSec, r.Requests)
-			}
-			fmt.Printf("p50 overhead: %+.2f%% sampled@0.01, %+.2f%% full sampling\n",
-				cmp.SampledP50OverheadPct, cmp.FullP50OverheadPct)
-			if *benchOut != "" {
-				data, err := json.MarshalIndent(cmp, "", "  ")
-				if err != nil {
-					fatal(err)
-				}
-				if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("snapshot written to %s\n", *benchOut)
-			}
-			return
-		}
-
-		cmp, err := server.RunLoadGenComparison(lg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("batched: %.0f req/s (%d ok, %d rejected, mean batch %.2f, %d coalesced)\n",
-			cmp.Batched.ReqPerSec, cmp.Batched.Requests, cmp.Batched.Rejected,
-			cmp.Batched.MeanBatchSize, cmp.Batched.CoalescedJobs)
-		fmt.Printf("batch1:  %.0f req/s (%d ok, %d rejected)\n",
-			cmp.Batch1.ReqPerSec, cmp.Batch1.Requests, cmp.Batch1.Rejected)
-		fmt.Printf("speedup: %.2fx\n", cmp.Speedup)
-		if *benchOut != "" {
-			data, err := json.MarshalIndent(cmp, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("snapshot written to %s\n", *benchOut)
 		}
 		return
 	}

@@ -23,7 +23,7 @@
 // serves the paper's applications end to end — /v1/heap/* and /v1/range
 // with per-tenant admission — and internal/replay records live traffic
 // into checksummed PMSTRC1 traces that replay deterministically
-// (pmsd -record / -replay / -replay-bench; see README "Workloads" and
+// (pmsd -record / -replay; see README "Workloads" and
 // EXPERIMENTS.md E23). internal/controller is the adaptive mapping
 // policy loop over the paper's central trade-off: it classifies each
 // registry entry's live template mix, shadow-scores candidate mappings

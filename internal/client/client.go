@@ -125,6 +125,10 @@ type Client struct {
 
 	attempts, retries, hedges, hedgeWins atomic.Int64
 	breakerOpens, breakerRejects         atomic.Int64
+
+	// wait, when set, stands in for the backoff timer (nil means the
+	// real timer); tests use it to take retries off the wall clock.
+	wait func(ctx context.Context, d time.Duration) error
 }
 
 // New builds a client for the given base URL and options.
@@ -487,6 +491,9 @@ func (c *Client) backoffDelay(n int, hint time.Duration) time.Duration {
 
 // sleep waits for d or the context, whichever ends first.
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
+	if c.wait != nil {
+		return c.wait(ctx, d)
+	}
 	if d <= 0 {
 		return ctx.Err()
 	}

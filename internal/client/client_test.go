@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,7 +216,10 @@ func TestBadRequestIsNotRetried(t *testing.T) {
 
 func TestContextCancellationAborts(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(5 * time.Second)
+		// Stall until the client gives up. net/http notices a client
+		// disconnect only once the handler has read the request body.
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
 	}))
 	defer ts.Close()
 	c, err := New(fastConfig(ts.URL))
@@ -306,17 +311,23 @@ func TestHedgedReadWinsAndCancelsLoser(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 
 	var n atomic.Int64
+	loserCanceled := make(chan struct{})
 	inner, stop := realHandler()
 	defer stop()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if n.Add(1) == 1 {
 			// First request stalls well past the hedge delay; its context is
-			// canceled when the hedge wins, so honor cancellation.
+			// canceled when the hedge wins, so honor cancellation. net/http
+			// notices the client's disconnect only once the handler has
+			// read the request body.
+			_, _ = io.Copy(io.Discard, r.Body)
 			select {
 			case <-time.After(2 * time.Second):
+				t.Error("the stalled primary was never canceled")
 			case <-r.Context().Done():
-				return
+				close(loserCanceled)
 			}
+			return
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -345,6 +356,11 @@ func TestHedgedReadWinsAndCancelsLoser(t *testing.T) {
 	st := c.Stats()
 	if st.Hedges != 1 || st.HedgeWins != 1 {
 		t.Errorf("stats %+v, want one winning hedge", st)
+	}
+	select {
+	case <-loserCanceled:
+	case <-time.After(time.Second):
+		t.Error("the losing primary's cancellation never reached the server")
 	}
 }
 
@@ -390,6 +406,25 @@ func TestClientSurvivesFullChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.CloseIdleConnections()
+	// The injector's 429s carry Retry-After: 1, which floors the backoff
+	// at a second. Record each requested delay but sleep at most
+	// MaxBackoff: a wait that returned at once would spend a call's
+	// attempts on a 5xx burst before its hedge could fire.
+	var waitMu sync.Mutex
+	var longestWait time.Duration
+	c.wait = func(ctx context.Context, d time.Duration) error {
+		waitMu.Lock()
+		longestWait = max(longestWait, d)
+		waitMu.Unlock()
+		timer := time.NewTimer(min(d, cfg.MaxBackoff))
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 
 	spec := server.MappingSpec{Alg: "mod", Levels: 12, Modules: 7}
 	ctx := context.Background()
@@ -417,6 +452,11 @@ func TestClientSurvivesFullChaos(t *testing.T) {
 	}
 	if injected == 0 {
 		t.Errorf("no faults injected: %v", faults)
+	}
+	waitMu.Lock()
+	defer waitMu.Unlock()
+	if longestWait < time.Second {
+		t.Errorf("longest backoff %v: the 429s' Retry-After: 1 floor was not honoured", longestWait)
 	}
 	t.Logf("chaos survived: %d calls, stats %+v, faults %v", calls, st, faults)
 }

@@ -3,7 +3,8 @@
 //
 //	go test ./internal/colormap -bench ColorBatch -benchtime 2s
 //
-// The pmsd -retrieval-bench mode measures the same ratio end to end.
+// On the served path, pmsbench's kernel.ns_per_node (batch-color) reads
+// the kernel's cost per node.
 package colormap
 
 import (

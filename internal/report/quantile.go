@@ -1,6 +1,6 @@
-// Latency quantiles shared by the benchmark harnesses (pmsd's loadgen,
-// the client's chaos bench, the metrics-overhead bench). One definition
-// keeps every BENCH_*.json p50/p95/p99 comparable across tools.
+// Latency quantiles over sorted durations. pmsbench (bench/) sorts its
+// samples with SortDurations; PercentileUS is the lower nearest-rank
+// estimator the BENCH_prN.json snapshots were read with.
 package report
 
 import (

@@ -112,27 +112,25 @@ type colorGroup struct {
 
 // coalescer merges singleton color lookups per mapping key.
 type coalescer struct {
-	mu            sync.Mutex
-	groups        map[string]*colorGroup // open groups: queued, not yet taken by a worker
-	maxBatch      int
-	pool          *pool
-	reg           *Registry
-	met           *Metrics
-	disableKernel bool // force the per-node fallback (A/B benchmarking)
-	closed        bool
+	mu       sync.Mutex
+	groups   map[string]*colorGroup // open groups: queued, not yet taken by a worker
+	maxBatch int
+	pool     *pool
+	reg      *Registry
+	met      *Metrics
+	closed   bool
 }
 
-func newCoalescer(maxBatch int, pool *pool, reg *Registry, met *Metrics, disableKernel bool) *coalescer {
+func newCoalescer(maxBatch int, pool *pool, reg *Registry, met *Metrics) *coalescer {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
 	return &coalescer{
-		groups:        make(map[string]*colorGroup),
-		maxBatch:      maxBatch,
-		pool:          pool,
-		reg:           reg,
-		met:           met,
-		disableKernel: disableKernel,
+		groups:   make(map[string]*colorGroup),
+		maxBatch: maxBatch,
+		pool:     pool,
+		reg:      reg,
+		met:      met,
 	}
 }
 
@@ -258,21 +256,15 @@ func (c *coalescer) runBatch(g *colorGroup) {
 // colorBatch is the compute step both /v1/color batch paths share, the
 // coalesced groups and the explicit nodes batches. It counts the batch
 // (batches_flushed, batch_size), colors nodes into dst with the mapping's
-// ColorBatch kernel (the per-node Color loop under DisableBatchKernel),
-// and accounts which path colored it and how long the compute took. It
-// returns the compute's start and duration for the batch_compute span.
+// ColorBatch kernel (coloring.ColorBatch falls back to the per-node Color
+// loop for mappings without one), and accounts which path colored it and
+// how long the compute took. It returns the compute's start and duration
+// for the batch_compute span.
 func (c *coalescer) colorBatch(m coloring.Mapping, dst []int, nodes []tree.Node) (time.Time, time.Duration) {
 	c.met.batchesFlushed.Add(1)
 	c.met.batchSize.Observe(int64(len(nodes)))
 	start := time.Now()
-	kernel := false
-	if c.disableKernel {
-		for i, n := range nodes {
-			dst[i] = m.Color(n)
-		}
-	} else {
-		kernel = coloring.ColorBatch(m, dst, nodes)
-	}
+	kernel := coloring.ColorBatch(m, dst, nodes)
 	d := time.Since(start)
 	if kernel {
 		c.met.kernelBatches.Add(1)

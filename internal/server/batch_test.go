@@ -40,7 +40,7 @@ func heldCoalescer(t *testing.T, maxBatch int) (c *coalescer, p *pool, met *Metr
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	return newCoalescer(maxBatch, p, NewRegistry(1<<20, met), met, false), p, met, release
+	return newCoalescer(maxBatch, p, NewRegistry(1<<20, met), met), p, met, release
 }
 
 // checkAnswer receives one lookup's result and compares it with the
@@ -125,7 +125,7 @@ func TestCoalescerSealsBeforeModeledAccess(t *testing.T) {
 	met := &Metrics{}
 	p := newPool(1, 16, access, nil)
 	defer p.close()
-	c := newCoalescer(64, p, NewRegistry(1<<20, met), met, false)
+	c := newCoalescer(64, p, NewRegistry(1<<20, met), met)
 	spec := modSpec(8, 3)
 	nodes := []tree.Node{tree.V(0, 0), tree.V(1, 1)}
 
@@ -163,7 +163,7 @@ func TestCoalescerConcurrentLookupsAnsweredOnce(t *testing.T) {
 	met := &Metrics{}
 	reg := NewRegistry(8<<20, met)
 	p := newPool(2, goroutines, 0, nil)
-	c := newCoalescer(5, p, reg, met, false)
+	c := newCoalescer(5, p, reg, met)
 	specs := []MappingSpec{modSpec(10, 3), modSpec(12, 5), {Alg: "color", Levels: 12, M: 3}}
 	maps := make([]coloring.Mapping, len(specs))
 	for i, spec := range specs {

@@ -231,8 +231,8 @@ func (c *serverController) stopLoop() {
 }
 
 // ControllerTick runs one policy evaluation synchronously and returns
-// the number of migrations performed. Benchmarks and the smoke probe use
-// it to drive the controller without waiting out the ticker.
+// the number of migrations performed. Tests use it to drive the
+// controller without waiting out the ticker.
 func (s *Server) ControllerTick(now time.Time) int {
 	if s.ctl == nil {
 		return 0

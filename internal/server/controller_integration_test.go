@@ -219,33 +219,93 @@ func TestControllerDecisionSurvivesWarmRestart(t *testing.T) {
 	}
 }
 
-// TestControllerBenchSmoke runs a scaled-down phase-shift comparison:
-// the controller must migrate, beat both statics on observed conflicts,
-// and keep the bound monitor at zero.
-func TestControllerBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench smoke")
+// specConflicts sums the family conflicts the domain layer attributed
+// to spec, the mapping the requests named.
+func specConflicts(t *testing.T, srv *Server, spec MappingSpec) int64 {
+	t.Helper()
+	d := srv.Metrics().Snapshot().Domain
+	if d == nil {
+		t.Fatal("domain metrics disabled")
 	}
-	res, err := RunControllerBench(ControllerBenchConfig{
-		Requests: 480,
-		Clients:  4,
-		Rounds:   3,
-	})
-	if err != nil {
-		t.Fatalf("RunControllerBench: %v (result %+v)", err, res)
+	var total int64
+	for _, sp := range d.Specs {
+		if sp.Key == spec.Key() {
+			for _, f := range sp.Families {
+				total += f.Conflicts
+			}
+		}
 	}
-	if res.Controller.Migrations < 1 {
-		t.Errorf("controller never migrated: %+v", res.Controller)
+	return total
+}
+
+// TestControllerBeatsStaticMappings runs the phase-shift scenario on the
+// m=4 canonical sizes (K=7, N=11, M=15) against three servers: the
+// controller fronting levelcyclic, static levelcyclic and static mod.
+// The S phase posts 7-node subtrees and the P phase root-ward paths of
+// at most 8 nodes; COLOR serves both conflict-free (Theorem 3), the two
+// static mappings do not. Ticked between rounds, the controller must
+// migrate to COLOR during the S phase and end with fewer conflicts than
+// either static mapping, with the bound monitor at zero on all three
+// servers.
+func TestControllerBeatsStaticMappings(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const rounds, perRound = 3, 40
+	run := func(cfg Config, spec MappingSpec) *Server {
+		srv := New(cfg)
+		ts := httptest.NewServer(srv.Handler())
+		defer func() {
+			ts.Close()
+			shutdownServer(t, srv)
+		}()
+		now := time.Now()
+		for _, kind := range []string{"S", "P"} {
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < perRound; i++ {
+					j := r*perRound + i
+					level, size := j%10, int64(7) // S(7) spans 3 of the 12 levels
+					if kind == "P" {
+						level = j % 12
+						size = int64(min(level+1, 8))
+					}
+					req := TemplateCostRequest{Mapping: spec, Kind: kind, Size: size,
+						Anchor: &NodeRef{Index: int64(j*7) % (1 << level), Level: level}}
+					if status := post(t, ts.Client(), ts.URL+"/v1/template-cost", req, nil); status != 200 {
+						t.Fatalf("%s %s request %d: status %d", spec.Key(), kind, j, status)
+					}
+				}
+				now = now.Add(time.Second)
+				srv.ControllerTick(now) // a no-op without the controller
+			}
+		}
+		return srv
 	}
-	if res.Controller.EffectiveKey != "color/H=12/m=4" {
-		t.Errorf("controller ended on %s", res.Controller.EffectiveKey)
+
+	levelcyclic := controllerRequestedSpec()
+	mod := MappingSpec{Alg: "mod", Levels: 12, Modules: 15}
+	adaptive := run(controllerTestConfig(), levelcyclic)
+	staticLC := run(Config{Workers: 2}, levelcyclic)
+	staticMod := run(Config{Workers: 2}, mod)
+	got := specConflicts(t, adaptive, levelcyclic)
+	lc, md := specConflicts(t, staticLC, levelcyclic), specConflicts(t, staticMod, mod)
+	t.Logf("conflicts: controller %d, levelcyclic %d, mod %d", got, lc, md)
+	snap := adaptive.Metrics().Snapshot()
+	if snap.ControllerMigrations < 1 {
+		t.Error("controller never migrated")
 	}
-	if !res.BeatsLevelcyclic || !res.BeatsMod {
-		t.Errorf("controller conflicts %d vs levelcyclic %d / mod %d",
-			res.Controller.TotalConflicts,
-			res.StaticLevelcyclic.TotalConflicts, res.StaticMod.TotalConflicts)
+	if eff := adaptive.reg.Resolve(levelcyclic).Key(); eff != "color/H=12/m=4" {
+		t.Errorf("controller ended on %s, want color/H=12/m=4", eff)
 	}
-	if res.ViolationsTotal != 0 {
-		t.Errorf("%d bound violations", res.ViolationsTotal)
+	if got >= lc || got >= md {
+		t.Errorf("controller conflicts %d, not below levelcyclic %d and mod %d", got, lc, md)
+	}
+	// Only COLOR has a theorem bound to check, so the checks come from
+	// the controller's post-migration requests.
+	if snap.Domain.BoundChecks == 0 {
+		t.Error("no bound checks ran on the controller server")
+	}
+	for _, srv := range []*Server{adaptive, staticLC, staticMod} {
+		if v := srv.Metrics().Snapshot().Domain.BoundViolations; v != 0 {
+			t.Errorf("%d bound violations", v)
+		}
 	}
 }

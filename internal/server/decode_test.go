@@ -56,8 +56,7 @@ func randomColorRequest(rng *rand.Rand) ColorRequest {
 // TestColorScannerTakesMarshalledBodies: json.Marshal's output for any
 // ColorRequest is canonical, so it takes the scanner and decodes to what
 // encoding/json decodes. internal/client and pmsbench encode with
-// json.Marshal (and pmsd -loadgen with json.Encoder, which adds a
-// trailing newline), so every body they send skips encoding/json.
+// json.Marshal, so every body they send skips encoding/json.
 func TestColorScannerTakesMarshalledBodies(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {

@@ -6,7 +6,7 @@
 // draw the same faults — and confirms reproduction on two axes:
 //
 //   - determinism: both replays produce bit-identical response digests
-//     (the same contract `make bench-replay` enforces);
+//     (the same contract TestMixedRecordReplayDeterminism holds);
 //   - rule refire: judging the replayed flight events with the
 //     incident's own SLO config re-fires every count-based rule that
 //     fired originally (latency rules depend on replay wall time and

@@ -344,7 +344,7 @@ func TestTapeRecordsWithFlightRecOff(t *testing.T) {
 	ts := httptest.NewServer(srv.httpSrv.Handler)
 	defer func() {
 		ts.Close()
-		shutdownTestServer(t, srv)
+		shutdownServer(t, srv)
 	}()
 	if srv.FlightRecorder() != nil {
 		t.Fatal("DisableFlightRec left a live recorder")
@@ -397,7 +397,7 @@ func TestCaptureOversizedBody(t *testing.T) {
 	tape := replay.NewTape(1)
 	small := colorBody(t, 1)
 	srv := New(Config{Tape: tape, MaxBodyBytes: int64(len(small)), MaxBatch: 1})
-	defer shutdownTestServer(t, srv)
+	defer shutdownServer(t, srv)
 	big := append(bytes.Repeat([]byte(" "), len(small)), small...)
 	for _, body := range [][]byte{small, big} {
 		rr := httptest.NewRecorder()
@@ -432,7 +432,7 @@ func TestCaptureRingHammer(t *testing.T) {
 	cfg.flightManual = true
 	cfg.flightEvents = 8
 	srv := New(cfg)
-	defer shutdownTestServer(t, srv)
+	defer shutdownServer(t, srv)
 
 	const writers, perWriter = 16, 50
 	bodies := make([][]byte, 8)

@@ -369,8 +369,7 @@ func TestBadSpecsRejected400(t *testing.T) {
 // TestKernelMetricsRecorded checks the serving hot path actually records
 // kernel-path batches: an explicit batch and a coalesced singleton both
 // tick kernel_batches and the compute histogram, with zero fallbacks for
-// registry algs; with the kernel disabled the same traffic lands in
-// fallback_batches.
+// registry algs.
 func TestKernelMetricsRecorded(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -399,21 +398,5 @@ func TestKernelMetricsRecorded(t *testing.T) {
 	}
 	if snap.BatchComputeNS.Count != snap.KernelBatches {
 		t.Errorf("batch_compute_ns count = %d, want %d", snap.BatchComputeNS.Count, snap.KernelBatches)
-	}
-
-	// A/B switch: same traffic with the kernel disabled must take the
-	// per-node path and say so in the metrics.
-	srv2 := New(Config{DisableBatchKernel: true})
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	if status := post(t, ts2.Client(), ts2.URL+"/v1/color", ColorRequest{
-		Mapping: MappingSpec{Alg: "color", Levels: 12, M: 3}, Nodes: nodes,
-	}, nil); status != http.StatusOK {
-		t.Fatalf("disabled-kernel batch: status %d", status)
-	}
-	snap2 := srv2.met.Snapshot()
-	if snap2.KernelBatches != 0 || snap2.FallbackBatches == 0 {
-		t.Errorf("disabled kernel: kernel=%d fallback=%d, want 0/>=1",
-			snap2.KernelBatches, snap2.FallbackBatches)
 	}
 }

@@ -61,7 +61,7 @@ func TestCoalescerOverloadRecordsRejection(t *testing.T) {
 
 	// A new group is queued as soon as it opens, so enqueue hits the
 	// full queue.
-	c := newCoalescer(1, p, reg, met, false)
+	c := newCoalescer(1, p, reg, met)
 	out, ok := c.enqueue(modSpec(8, 3), NodeRef{Index: 0, Level: 0}.Node(), nil)
 	if !ok {
 		t.Fatal("enqueue refused before shutdown")

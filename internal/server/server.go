@@ -96,7 +96,7 @@ type Config struct {
 	// DisableDomainMetrics turns off the model-level accounting layer
 	// (per-module loads, family conflict histograms, the theorem-bound
 	// monitor). On by default: recording is a handful of atomic adds per
-	// request, priced by the -metrics-bench mode.
+	// request, priced by pmsbench's ablation.domain_p50_us.
 	DisableDomainMetrics bool
 	// TraceSampleRate is the fraction of requests traced by the obsv
 	// layer (default 1.0 — full-sampling overhead is a few µs against
@@ -109,11 +109,6 @@ type Config struct {
 	// each task after a coalesced group is sealed. Load and backpressure
 	// testing only; leave zero in production.
 	WorkerDelay time.Duration
-	// DisableBatchKernel forces the per-node Color interface loop in both
-	// batch paths instead of the mappings' ColorBatch kernels. A/B
-	// benchmarking only (-retrieval-bench uses it to price the kernels);
-	// leave false in production.
-	DisableBatchKernel bool
 	// Store, when set, is the disk tier under the mapping registry:
 	// evicted table-backed mappings spill into it, registry misses probe
 	// it (mmap load) before materializing, and Shutdown flushes resident
@@ -146,7 +141,8 @@ type Config struct {
 	Middleware func(http.Handler) http.Handler
 	// DisableFlightRec turns off the always-on flight recorder and SLO
 	// watchdog (internal/flightrec). On by default: recording a request
-	// is one body read and one mutex push, priced by -forensics-bench.
+	// is one body read and one mutex push, priced by pmsbench's
+	// ablation.flightrec_p50_us.
 	DisableFlightRec bool
 	// FlightRecDir is where watchdog-triggered incident snapshots land;
 	// empty disables automatic writes (GET /debug/snapshot still works).
@@ -290,7 +286,7 @@ func New(cfg Config) *Server {
 		met:  met,
 		reg:  reg,
 		pool: p,
-		coal: newCoalescer(cfg.MaxBatch, p, reg, met, cfg.DisableBatchKernel),
+		coal: newCoalescer(cfg.MaxBatch, p, reg, met),
 		trc:  obsv.New(obsv.Config{SampleRate: cfg.TraceSampleRate, SlowestN: cfg.TraceSlowest}),
 	}
 	if !cfg.DisableDomainMetrics {
@@ -336,7 +332,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Metrics exposes the metrics registry (loadgen and tests read it).
+// Metrics exposes the metrics registry (tests read it).
 func (s *Server) Metrics() *Metrics { return s.met }
 
 // Tracer exposes the request tracer (benchmarks and tests read it).

@@ -148,44 +148,6 @@ func ZipfWeights(n int, s float64) []int {
 	return w
 }
 
-// WeightedPicker draws category indices with fixed integer weights from
-// a seeded stream: category i is drawn with probability weight[i]/total.
-type WeightedPicker struct {
-	cum   []int // cumulative weights
-	total int
-	rng   *rand.Rand
-}
-
-// NewWeightedPicker builds a seeded picker over the given weights.
-func NewWeightedPicker(weights []int, seed int64) (*WeightedPicker, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("workload: no weights")
-	}
-	p := &WeightedPicker{cum: make([]int, len(weights)), rng: rand.New(rand.NewSource(seed))}
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("workload: negative weight %d at %d", w, i)
-		}
-		p.total += w
-		p.cum[i] = p.total
-	}
-	if p.total == 0 {
-		return nil, fmt.Errorf("workload: all weights zero")
-	}
-	return p, nil
-}
-
-// Next returns the next category index.
-func (p *WeightedPicker) Next() int {
-	r := p.rng.Intn(p.total)
-	for i, c := range p.cum {
-		if r < c {
-			return i
-		}
-	}
-	return len(p.cum) - 1 // unreachable
-}
-
 // TenantNames returns n deterministic tenant identifiers
 // ("tenant-00", "tenant-01", …) for multi-tenant traffic shapes.
 func TenantNames(n int) []string {

@@ -181,42 +181,6 @@ func TestZipfWeightsTailKeepsDecaying(t *testing.T) {
 	}
 }
 
-func TestWeightedPicker(t *testing.T) {
-	a, err := NewWeightedPicker([]int{700, 200, 100}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := NewWeightedPicker([]int{700, 200, 100}, 3)
-	counts := make([]int, 3)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		ia, ib := a.Next(), b.Next()
-		if ia != ib {
-			t.Fatalf("nondeterministic at draw %d", i)
-		}
-		counts[ia]++
-	}
-	// 70/20/10 within generous tolerance.
-	if counts[0] < 6300 || counts[0] > 7700 {
-		t.Errorf("category 0 drawn %d of %d, want ≈ 7000", counts[0], n)
-	}
-	if counts[2] < 500 || counts[2] > 1500 {
-		t.Errorf("category 2 drawn %d of %d, want ≈ 1000", counts[2], n)
-	}
-}
-
-func TestWeightedPickerErrors(t *testing.T) {
-	if _, err := NewWeightedPicker(nil, 1); err == nil {
-		t.Error("empty weights should fail")
-	}
-	if _, err := NewWeightedPicker([]int{0, 0}, 1); err == nil {
-		t.Error("all-zero weights should fail")
-	}
-	if _, err := NewWeightedPicker([]int{1, -1}, 1); err == nil {
-		t.Error("negative weight should fail")
-	}
-}
-
 func TestTenantNames(t *testing.T) {
 	names := TenantNames(3)
 	want := []string{"tenant-00", "tenant-01", "tenant-02"}
