@@ -1,8 +1,9 @@
 # Build/verification tiers for the tree-access reproduction.
 #
-#   make check          vet + race tests + benchmark smoke + server smoke +
-#                       fuzz smoke (CI tier); the record/replay, flight
-#                       recorder and controller claims are go tests
+#   make check          gofmt + vet (root and bench modules) + race tests +
+#                       benchmark smoke + server smoke + fuzz smoke (CI
+#                       tier); the record/replay, flight recorder and
+#                       controller claims are go tests
 #   make test           plain unit tests (tier-1)
 #   make bench          full benchmark sweep with allocation counts
 #   make bench-snapshot rewrite BENCH_pr1.json from the hot-path kernels
@@ -20,8 +21,14 @@ BENCH_DIR ?= $(CURDIR)
 
 check: vet race bench-smoke server-smoke fuzz-smoke
 
+# gofmt covers every tracked Go file, bench/ included; bench/ is its own
+# module, so the root `go vet ./...` skips it and a change to an internal
+# API it uses would otherwise break pmsbench unnoticed.
 vet:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # Tier-1 runs vet too: it is cheap and catches printf/struct-tag slips
 # that plain `go test` lets through.

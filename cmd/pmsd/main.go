@@ -2,8 +2,8 @@
 // node→module retrieval (/v1/color, with server-side batching of
 // concurrent singleton lookups), template conflict costs
 // (/v1/template-cost) and bounded trace replay through the parallel
-// memory system simulator (/v1/simulate), with /debug/vars metrics and
-// /debug/pprof profiling built in.
+// memory system simulator (/v1/simulate), with Prometheus metrics
+// (/metrics) and /debug/pprof profiling built in.
 //
 // Serve mode:
 //
@@ -26,7 +26,7 @@
 //
 // Domain metrics (per-module access accounting, template-family conflict
 // histograms, the theorem-bound monitor) are on by default and rendered
-// by GET /metrics in Prometheus text format alongside /debug/vars;
+// by GET /metrics in Prometheus text format with the serving counters;
 // -no-domain-metrics turns the accounting layer off.
 //
 // With -store-dir the mapping registry gains a disk tier: evicted

@@ -148,7 +148,7 @@ func New(cfg Config, host Host) *Controller {
 }
 
 // States returns a copy of the per-entry hysteresis state, keyed by
-// requested spec key (for /debug/vars and the dwell gauges).
+// requested spec key (for the migration and dwell gauges).
 func (c *Controller) States() map[string]State {
 	c.mu.Lock()
 	defer c.mu.Unlock()

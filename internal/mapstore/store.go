@@ -106,8 +106,8 @@ type Store struct {
 	regions   [][]byte                    // live mmap regions; unmapped only at Close
 	bytes     int64
 	decisions map[string]string // requested key → effective spec JSON
-	closing bool // no new work accepted; queued spills still drain
-	closed  bool
+	closing   bool              // no new work accepted; queued spills still drain
+	closed    bool
 
 	spillCh chan spillReq
 	spillWG sync.WaitGroup

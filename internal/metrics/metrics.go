@@ -22,9 +22,10 @@
 //     (mapping, template); a violation ticks a counter that must stay
 //     zero, turning the paper's theorems into a production invariant.
 //
-// Everything is exported through DomainSnapshot, rendered by the serving
-// layer's GET /metrics Prometheus endpoint (prom.go holds both the text
-// exposition writer and the matching parser used by cmd/pmsstat).
+// Everything is exported through DomainSnapshot and FamilyHist, rendered
+// by the serving layer's GET /metrics Prometheus endpoint (prom.go holds
+// both the text exposition writer and the matching parser used by
+// cmd/pmsstat).
 package metrics
 
 import (
@@ -333,15 +334,6 @@ func (d *Domain) AccessTotals() (accesses, overflow int64) {
 	return accesses, overflow
 }
 
-// FamilySnapshot is the exported form of one family conflict histogram.
-type FamilySnapshot struct {
-	Family  string           `json:"family"`
-	Count   int64            `json:"count"`
-	Sum     int64            `json:"sum"`
-	Mean    float64          `json:"mean"`
-	Buckets map[string]int64 `json:"buckets,omitempty"` // upper bound → count
-}
-
 // SpecFamily is one family's share of a spec's attributed mix.
 type SpecFamily struct {
 	Family       string `json:"family"`
@@ -358,8 +350,9 @@ type SpecSnapshot struct {
 }
 
 // DomainSnapshot is the exported form of a Domain: per-module loads, the
-// derived load-balance gauges, family conflict histograms, per-spec mix
-// attribution and the bound monitor counters.
+// derived load-balance gauges, per-spec mix attribution and the bound
+// monitor counters. The family conflict histograms are read through
+// FamilyHist.
 type DomainSnapshot struct {
 	// ModuleAccesses[i] is the access count of module i, trimmed to the
 	// highest touched module.
@@ -382,8 +375,6 @@ type DomainSnapshot struct {
 	// Batches / Conflicts aggregate the simulator engines' accounting.
 	Batches   int64 `json:"batches"`
 	Conflicts int64 `json:"conflicts"`
-
-	Families []FamilySnapshot `json:"families,omitempty"`
 
 	// Specs attributes the family mix per registry entry (bounded table;
 	// the "other" key absorbs overflow), sorted by key.
@@ -429,25 +420,6 @@ func (d *Domain) Snapshot() DomainSnapshot {
 	if s.ActiveModules > 0 {
 		s.MeanLoad = float64(s.TotalAccesses) / float64(s.ActiveModules)
 		s.LoadRatio = float64(s.MaxLoad) / s.MeanLoad
-	}
-	for i := range d.families {
-		count, sum, buckets := d.families[i].Load()
-		if count == 0 {
-			continue
-		}
-		fs := FamilySnapshot{
-			Family:  Families[i],
-			Count:   count,
-			Sum:     sum,
-			Mean:    float64(sum) / float64(count),
-			Buckets: make(map[string]int64),
-		}
-		for b, c := range buckets {
-			if c > 0 {
-				fs.Buckets[obsv.BucketLabel(b)] = c
-			}
-		}
-		s.Families = append(s.Families, fs)
 	}
 	for _, key := range d.SpecKeys() {
 		obs, conf, ok := d.SpecCounters(key)

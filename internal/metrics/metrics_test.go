@@ -66,7 +66,7 @@ func TestNilDomainIsDisabled(t *testing.T) {
 		t.Fatal("nil domain reported a violation")
 	}
 	s := d.Snapshot()
-	if s.TotalAccesses != 0 || s.Families != nil {
+	if s.TotalAccesses != 0 {
 		t.Fatalf("nil snapshot not zero: %+v", s)
 	}
 	if d.FamilyHist("S") != nil {
@@ -80,18 +80,15 @@ func TestObserveFamilyAndSnapshot(t *testing.T) {
 	d.ObserveFamily("S", 1)
 	d.ObserveFamily("C", 7)
 	d.ObserveFamily("bogus", 5) // ignored
-	s := d.Snapshot()
-	if len(s.Families) != 2 {
-		t.Fatalf("families=%d, want 2 (S and C)", len(s.Families))
+	want := map[string][2]int64{"S": {2, 1}, "L": {0, 0}, "P": {0, 0}, "C": {1, 7}}
+	for _, fam := range Families {
+		count, sum, _ := d.FamilyHist(fam).Load()
+		if got := [2]int64{count, sum}; got != want[fam] {
+			t.Errorf("%s family count/sum = %v, want %v", fam, got, want[fam])
+		}
 	}
-	if s.Families[0].Family != "S" || s.Families[0].Count != 2 || s.Families[0].Sum != 1 {
-		t.Fatalf("S family snapshot %+v", s.Families[0])
-	}
-	if s.Families[1].Family != "C" || s.Families[1].Count != 1 || s.Families[1].Sum != 7 {
-		t.Fatalf("C family snapshot %+v", s.Families[1])
-	}
-	if s.Families[0].Mean != 0.5 {
-		t.Fatalf("S mean=%v, want 0.5", s.Families[0].Mean)
+	if d.FamilyHist("bogus") != nil {
+		t.Error("unknown family label returned a histogram")
 	}
 }
 

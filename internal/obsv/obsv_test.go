@@ -188,8 +188,8 @@ func TestConcurrentRecording(t *testing.T) {
 // TestHistogramBucketBoundaries pins the power-of-two bucketing of
 // Histogram.Observe: bucket i holds v with bits.Len64(v) == i, labeled
 // by its inclusive upper bound 2^i - 1 ("inf" for the clamp bucket).
-// Every histogram pmsd serves (/debug/vars, /debug/requests, /metrics)
-// buckets through this type; any shift here would silently re-bucket
+// Every histogram pmsd serves (/debug/requests, /metrics) buckets
+// through this type; any shift here would silently re-bucket
 // every dashboard reading them.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	cases := []struct {

@@ -83,9 +83,8 @@ func TestCoalescerQueuesGroupAtOnce(t *testing.T) {
 	release()
 	checkAnswer(t, c, spec, nodes[0], first)
 	checkAnswer(t, c, spec, nodes[1], second)
-	snap := met.Snapshot()
-	if snap.BatchesFlushed != 1 || snap.CoalescedJobs != 2 {
-		t.Errorf("batches_flushed = %d, coalesced_jobs = %d; want 1 and 2", snap.BatchesFlushed, snap.CoalescedJobs)
+	if flushed, coalesced := met.batchesFlushed.Load(), met.coalescedJobs.Load(); flushed != 1 || coalesced != 2 {
+		t.Errorf("batches_flushed = %d, coalesced_jobs = %d; want 1 and 2", flushed, coalesced)
 	}
 }
 
@@ -110,10 +109,11 @@ func TestCoalescerSealsAtMaxBatch(t *testing.T) {
 	for i, out := range outs {
 		checkAnswer(t, c, spec, tree.V(int64(i), 4), out)
 	}
-	snap := met.Snapshot()
-	if snap.BatchesFlushed != 3 || snap.BatchSize.Sum != 10 || snap.CoalescedJobs != 10 {
+	flushed, coalesced := met.batchesFlushed.Load(), met.coalescedJobs.Load()
+	_, sizeSum, _ := met.batchSize.Load()
+	if flushed != 3 || sizeSum != 10 || coalesced != 10 {
 		t.Errorf("batches_flushed = %d, batch_size sum = %d, coalesced_jobs = %d; want 3, 10, 10",
-			snap.BatchesFlushed, snap.BatchSize.Sum, snap.CoalescedJobs)
+			flushed, sizeSum, coalesced)
 	}
 }
 
@@ -149,8 +149,8 @@ func TestCoalescerSealsBeforeModeledAccess(t *testing.T) {
 
 	checkAnswer(t, c, spec, nodes[0], first)
 	checkAnswer(t, c, spec, nodes[1], second)
-	if snap := met.Snapshot(); snap.BatchesFlushed != 2 || snap.CoalescedJobs != 0 {
-		t.Errorf("batches_flushed = %d, coalesced_jobs = %d; want 2 and 0", snap.BatchesFlushed, snap.CoalescedJobs)
+	if flushed, coalesced := met.batchesFlushed.Load(), met.coalescedJobs.Load(); flushed != 2 || coalesced != 0 {
+		t.Errorf("batches_flushed = %d, coalesced_jobs = %d; want 2 and 0", flushed, coalesced)
 	}
 }
 
@@ -212,12 +212,11 @@ func TestCoalescerConcurrentLookupsAnsweredOnce(t *testing.T) {
 			}
 		}
 	}
-	snap := met.Snapshot()
-	if snap.BatchSize.Sum != goroutines*perGoroutine {
-		t.Errorf("batch_size sum = %d, want %d lookups", snap.BatchSize.Sum, goroutines*perGoroutine)
+	if _, sizeSum, _ := met.batchSize.Load(); sizeSum != goroutines*perGoroutine {
+		t.Errorf("batch_size sum = %d, want %d lookups", sizeSum, goroutines*perGoroutine)
 	}
-	if snap.BatchesRejected != 0 {
-		t.Errorf("batches_rejected = %d, want 0", snap.BatchesRejected)
+	if rejected := met.batchesRejected.Load(); rejected != 0 {
+		t.Errorf("batches_rejected = %d, want 0", rejected)
 	}
 }
 
@@ -242,9 +241,10 @@ func TestCoalescerAcquireFailureCountsNoBatch(t *testing.T) {
 			t.Errorf("lookup %d: got %+v, want the acquire error", i, res)
 		}
 	}
-	snap := met.Snapshot()
-	if snap.BatchesFlushed != 0 || snap.BatchSize.Sum != 0 || snap.CoalescedJobs != 0 {
+	flushed, coalesced := met.batchesFlushed.Load(), met.coalescedJobs.Load()
+	_, sizeSum, _ := met.batchSize.Load()
+	if flushed != 0 || sizeSum != 0 || coalesced != 0 {
 		t.Errorf("batches_flushed = %d, batch_size sum = %d, coalesced_jobs = %d; want 0, 0, 0",
-			snap.BatchesFlushed, snap.BatchSize.Sum, snap.CoalescedJobs)
+			flushed, sizeSum, coalesced)
 	}
 }

@@ -11,7 +11,7 @@
 //   - the migration mechanics: Registry.Migrate under the single-flight
 //     window, plus persisting the decision into the mapstore manifest so
 //     a -store-warm restart re-serves the migrated mapping;
-//   - the tick loop and the /debug/vars + /metrics status surface.
+//   - the tick loop and the controller series on /metrics.
 package server
 
 import (
@@ -168,18 +168,11 @@ type serverController struct {
 	wg       sync.WaitGroup
 }
 
-// ctrlStatus is the last-event-per-spec surface behind /debug/vars and
-// the controller gauges.
+// ctrlStatus holds each spec's last shadow scores for the
+// pmsd_controller_shadow_score gauges.
 type ctrlStatus struct {
-	mu      sync.Mutex
-	entries map[string]*ctrlEntryStatus
-}
-
-type ctrlEntryStatus struct {
-	effective  string
-	lastAction string
-	lastReason string
-	scores     map[string]float64 // candidate key → per-sample shadow cost
+	mu     sync.Mutex
+	scores map[string]map[string]float64 // spec key → candidate key → per-sample shadow cost
 }
 
 func newServerController(s *Server) *serverController {
@@ -197,7 +190,7 @@ func newServerController(s *Server) *serverController {
 		samplers:    samplerTable{stride: stride, m: make(map[string]*specSampler)},
 		shadowSpecs: make(map[string]MappingSpec),
 		shadowMaps:  make(map[string]coloring.Mapping),
-		status:      ctrlStatus{entries: make(map[string]*ctrlEntryStatus)},
+		status:      ctrlStatus{scores: make(map[string]map[string]float64)},
 		stop:        make(chan struct{}),
 	}
 	c.ctrl = ctl.New(ctl.Config{
@@ -348,25 +341,16 @@ func (h ctrlHost) Event(ev ctl.Event) {
 		Reason: ev.Reason,
 	})
 
+	if len(ev.Scores) == 0 {
+		return
+	}
+	scores := make(map[string]float64, len(ev.Scores))
+	for _, sc := range ev.Scores {
+		scores[sc.Candidate.Key] = sc.PerSample
+	}
 	st := &h.c.status
 	st.mu.Lock()
-	en := st.entries[ev.Key]
-	if en == nil {
-		en = &ctrlEntryStatus{}
-		st.entries[ev.Key] = en
-	}
-	en.effective = ev.From
-	if ev.Action == ctl.ActionMigrate {
-		en.effective = ev.To
-	}
-	en.lastAction = ev.Action
-	en.lastReason = ev.Reason
-	if len(ev.Scores) > 0 {
-		en.scores = make(map[string]float64, len(ev.Scores))
-		for _, sc := range ev.Scores {
-			en.scores[sc.Candidate.Key] = sc.PerSample
-		}
-	}
+	st.scores[ev.Key] = scores
 	st.mu.Unlock()
 }
 
@@ -443,30 +427,27 @@ func colorExponentFor(modules int) (int, bool) {
 	return 0, false
 }
 
-// ControllerSnapshot is the /debug/vars view of the policy loop.
+// ControllerSnapshot is the per-spec policy state the controller series
+// on /metrics render.
 type ControllerSnapshot struct {
-	Interval string                    `json:"interval"`
-	Entries  []ControllerEntrySnapshot `json:"entries,omitempty"`
+	Entries []ControllerEntrySnapshot
 }
 
 // ControllerEntrySnapshot is one policy-managed spec's state.
 type ControllerEntrySnapshot struct {
-	Spec         string             `json:"spec"`
-	Effective    string             `json:"effective"`
-	Migrations   int64              `json:"migrations"`
-	DwellSeconds float64            `json:"dwell_seconds"`
-	LastAction   string             `json:"last_action,omitempty"`
-	LastReason   string             `json:"last_reason,omitempty"`
-	Scores       map[string]float64 `json:"scores,omitempty"`
+	Spec         string
+	Migrations   int64
+	DwellSeconds float64
+	Scores       map[string]float64 // candidate key → per-sample shadow cost
 }
 
-// snapshot renders the controller state for /debug/vars and /metrics.
+// snapshot renders the controller state for /metrics.
 func (c *serverController) snapshot() *ControllerSnapshot {
 	now := time.Now()
 	states := c.ctrl.States()
 
 	c.status.mu.Lock()
-	out := &ControllerSnapshot{Interval: c.interval.String()}
+	out := &ControllerSnapshot{}
 	keys := make([]string, 0, len(states))
 	for k := range states {
 		keys = append(keys, k)
@@ -476,22 +457,14 @@ func (c *serverController) snapshot() *ControllerSnapshot {
 		st := states[k]
 		en := ControllerEntrySnapshot{
 			Spec:       k,
-			Effective:  st.Current,
 			Migrations: st.Migrations,
 		}
 		if !st.LastMigration.IsZero() {
 			en.DwellSeconds = now.Sub(st.LastMigration).Seconds()
 		}
-		if es := c.status.entries[k]; es != nil {
-			en.LastAction = es.lastAction
-			en.LastReason = es.lastReason
-			if len(es.scores) > 0 {
-				en.Scores = make(map[string]float64, len(es.scores))
-				for ck, v := range es.scores {
-					en.Scores[ck] = v
-				}
-			}
-		}
+		// Event replaces a spec's score map whole and never writes to it
+		// afterwards, so the snapshot can share it.
+		en.Scores = c.status.scores[k]
 		out.Entries = append(out.Entries, en)
 	}
 	c.status.mu.Unlock()

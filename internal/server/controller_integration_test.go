@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	ctl "repro/internal/controller"
+	"repro/internal/flightrec"
 	"repro/internal/mapstore"
 	"repro/internal/testutil"
 )
@@ -89,23 +91,25 @@ func TestControllerMigratesUnderSHeavyTraffic(t *testing.T) {
 		}
 	}
 
-	snap := srv.Metrics().Snapshot()
-	if snap.ControllerMigrations != 1 {
-		t.Errorf("controller_migrations = %d, want 1", snap.ControllerMigrations)
+	if n := srv.met.controllerMigrations.Load(); n != 1 {
+		t.Errorf("controller_migrations = %d, want 1", n)
 	}
-	if snap.ControllerDecisions < 1 || snap.ControllerShadowEvals < 2 {
-		t.Errorf("decisions %d / shadow evals %d — controller did not score",
-			snap.ControllerDecisions, snap.ControllerShadowEvals)
+	decisions, evals := srv.met.controllerDecisions.Load(), srv.met.controllerShadowEvals.Load()
+	if decisions < 1 || evals < 2 {
+		t.Errorf("decisions %d / shadow evals %d — controller did not score", decisions, evals)
 	}
-	if snap.Domain == nil || snap.Domain.BoundViolations != 0 {
-		t.Errorf("bound violations across migration: %+v", snap.Domain)
+	if _, _, v := srv.dom.Counters(); v != 0 {
+		t.Errorf("%d bound violations across migration", v)
 	}
-	if snap.Controller == nil || len(snap.Controller.Entries) == 0 {
-		t.Fatalf("controller snapshot missing: %+v", snap.Controller)
+	// The flight recorder's decision ring holds the migration itself.
+	var migrations []flightrec.Decision
+	for _, d := range srv.fr.DecisionsSnapshot() {
+		if d.Spec == spec.Key() && d.Action == ctl.ActionMigrate {
+			migrations = append(migrations, d)
+		}
 	}
-	e := snap.Controller.Entries[0]
-	if e.Effective != wantEffective.Key() || e.LastAction != "migrate" {
-		t.Errorf("controller entry = %+v", e)
+	if len(migrations) != 1 || migrations[0].To != wantEffective.Key() {
+		t.Errorf("migrate decisions for %s = %+v, want one to %s", spec.Key(), migrations, wantEffective.Key())
 	}
 }
 
@@ -134,7 +138,7 @@ func TestControllerNoFlipFlapAcrossTicks(t *testing.T) {
 			t.Fatalf("tick %d flip-flapped the entry", i)
 		}
 	}
-	if got := srv.Metrics().Snapshot().ControllerMigrations; got != 1 {
+	if got := srv.met.controllerMigrations.Load(); got != 1 {
 		t.Errorf("controller_migrations = %d after re-ticks, want 1", got)
 	}
 }
@@ -223,17 +227,13 @@ func TestControllerDecisionSurvivesWarmRestart(t *testing.T) {
 // to spec, the mapping the requests named.
 func specConflicts(t *testing.T, srv *Server, spec MappingSpec) int64 {
 	t.Helper()
-	d := srv.Metrics().Snapshot().Domain
-	if d == nil {
+	if srv.dom == nil {
 		t.Fatal("domain metrics disabled")
 	}
+	_, conf, _ := srv.dom.SpecCounters(spec.Key())
 	var total int64
-	for _, sp := range d.Specs {
-		if sp.Key == spec.Key() {
-			for _, f := range sp.Families {
-				total += f.Conflicts
-			}
-		}
+	for _, c := range conf {
+		total += c
 	}
 	return total
 }
@@ -288,8 +288,7 @@ func TestControllerBeatsStaticMappings(t *testing.T) {
 	got := specConflicts(t, adaptive, levelcyclic)
 	lc, md := specConflicts(t, staticLC, levelcyclic), specConflicts(t, staticMod, mod)
 	t.Logf("conflicts: controller %d, levelcyclic %d, mod %d", got, lc, md)
-	snap := adaptive.Metrics().Snapshot()
-	if snap.ControllerMigrations < 1 {
+	if adaptive.met.controllerMigrations.Load() < 1 {
 		t.Error("controller never migrated")
 	}
 	if eff := adaptive.reg.Resolve(levelcyclic).Key(); eff != "color/H=12/m=4" {
@@ -300,11 +299,11 @@ func TestControllerBeatsStaticMappings(t *testing.T) {
 	}
 	// Only COLOR has a theorem bound to check, so the checks come from
 	// the controller's post-migration requests.
-	if snap.Domain.BoundChecks == 0 {
+	if _, checks, _ := adaptive.dom.Counters(); checks == 0 {
 		t.Error("no bound checks ran on the controller server")
 	}
 	for _, srv := range []*Server{adaptive, staticLC, staticMod} {
-		if v := srv.Metrics().Snapshot().Domain.BoundViolations; v != 0 {
+		if _, _, v := srv.dom.Counters(); v != 0 {
 			t.Errorf("%d bound violations", v)
 		}
 	}

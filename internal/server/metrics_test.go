@@ -3,32 +3,7 @@ package server
 import (
 	"testing"
 	"time"
-
-	"repro/internal/obsv"
 )
-
-// TestHistogramSnapshotAggregates checks count/sum/mean across several
-// observations and that empty histograms omit buckets entirely. The
-// bucket boundaries and labels themselves are pinned in obsv.
-func TestHistogramSnapshotAggregates(t *testing.T) {
-	var h obsv.Histogram
-	if snap := histSnapshot(h.Load()); snap.Count != 0 || snap.Buckets != nil {
-		t.Errorf("empty snapshot = %+v, want zero with nil buckets", snap)
-	}
-	for _, v := range []int64{1, 1, 3, 1000} {
-		h.Observe(v)
-	}
-	snap := histSnapshot(h.Load())
-	if snap.Count != 4 || snap.Sum != 1005 {
-		t.Errorf("count/sum = %d/%d, want 4/1005", snap.Count, snap.Sum)
-	}
-	if want := 1005.0 / 4; snap.Mean != want {
-		t.Errorf("mean = %g, want %g", snap.Mean, want)
-	}
-	if snap.Buckets["1"] != 2 || snap.Buckets["3"] != 1 || snap.Buckets["1023"] != 1 {
-		t.Errorf("buckets = %v", snap.Buckets)
-	}
-}
 
 // TestCoalescerOverloadRecordsRejection fills the worker pool queue and
 // proves an overloaded batch is visible in metrics: one batches_rejected
@@ -70,14 +45,13 @@ func TestCoalescerOverloadRecordsRejection(t *testing.T) {
 	if res.err != errOverloaded {
 		t.Fatalf("job error = %v, want errOverloaded", res.err)
 	}
-	snap := met.Snapshot()
-	if snap.BatchesRejected != 1 {
-		t.Errorf("batches_rejected = %d, want 1", snap.BatchesRejected)
+	if n := met.batchesRejected.Load(); n != 1 {
+		t.Errorf("batches_rejected = %d, want 1", n)
 	}
-	if snap.Rejected429 != 1 {
-		t.Errorf("rejected_429 = %d, want 1 (the rejected batch carried 1 job)", snap.Rejected429)
+	if n := met.rejected429.Load(); n != 1 {
+		t.Errorf("rejected_429 = %d, want 1 (the rejected batch carried 1 job)", n)
 	}
-	if snap.BatchesFlushed != 0 {
-		t.Errorf("batches_flushed = %d, want 0", snap.BatchesFlushed)
+	if n := met.batchesFlushed.Load(); n != 0 {
+		t.Errorf("batches_flushed = %d, want 0", n)
 	}
 }

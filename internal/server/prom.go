@@ -1,10 +1,11 @@
-// GET /metrics: the Prometheus text-exposition surface of pmsd. It
-// renders every counter already served by /debug/vars (endpoint
-// request/error/latency series, backpressure and coalescing counters,
-// registry counters with acquire attribution, aggregated simulate
-// counters including idle steps), the obsv per-stage trace histograms,
-// and the domain-observability layer (per-module loads, load-balance
-// gauges, per-family conflict histograms, the theorem-bound monitor).
+// GET /metrics: pmsd's one counter surface, in Prometheus text format.
+// It renders every serving counter (endpoint request/error/latency
+// series, per-tenant admission, backpressure and coalescing counters,
+// registry counters with acquire attribution, the controller, flight
+// recorder and disk tier, aggregated simulate counters including idle
+// steps), the obsv per-stage trace histograms, and the
+// domain-observability layer (per-module loads, load-balance gauges,
+// per-family conflict histograms, the theorem-bound monitor).
 // The rendering order is fixed and the wire format is pinned by golden
 // tests — treat any diff in the exposition as an API change.
 package server

@@ -1,22 +1,18 @@
 // Tests for the GET /metrics Prometheus exposition: a golden test pins
-// the wire format byte-for-byte, a reflection test guarantees every
-// /debug/vars snapshot field has a corresponding exposition series (so
-// a counter added to one surface cannot silently miss the other), an
-// end-to-end test drives real requests through the handlers and checks
-// the bound monitor, and a leak test scrapes concurrently under load.
+// the wire format byte-for-byte, an end-to-end test drives real requests
+// through the handlers and checks the bound monitor, and a leak test
+// scrapes concurrently under load.
 package server
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -159,174 +155,6 @@ func lineDiff(want, got string) string {
 	return "no line diff (length mismatch?)"
 }
 
-// serverSeries maps every scalar MetricsSnapshot JSON field to the
-// exposition series that carries it. A field missing from this table
-// fails TestExpositionCoversSnapshotFields — extend both the exposition
-// (prom.go) and this table when adding a counter.
-var serverSeries = map[string]string{
-	"rejected_429":                  "pmsd_rejected_429_total",
-	"inflight":                      "pmsd_inflight",
-	"queue_depth":                   "pmsd_queue_depth",
-	"batches_flushed":               "pmsd_batches_flushed_total",
-	"batches_rejected":              "pmsd_batches_rejected_total",
-	"coalesced_jobs":                "pmsd_coalesced_jobs_total",
-	"batch_size":                    "pmsd_batch_size_count",
-	"kernel_batches":                "pmsd_kernel_batches_total",
-	"fallback_batches":              "pmsd_fallback_batches_total",
-	"batch_compute_ns":              "pmsd_batch_compute_ns_count",
-	"registry_hits":                 "pmsd_registry_hits_total",
-	"registry_misses":               "pmsd_registry_misses_total",
-	"registry_evictions":            "pmsd_registry_evictions_total",
-	"registry_bytes":                "pmsd_registry_bytes",
-	"registry_acquire_hits":         "pmsd_registry_acquire_hits_total",
-	"registry_acquire_disk_hits":    "pmsd_registry_acquire_disk_hits_total",
-	"registry_acquire_materializes": "pmsd_registry_acquire_materializes_total",
-	"controller_decisions":          "pmsd_controller_decisions_total",
-	"controller_migrations":         "pmsd_controller_migrations_total",
-	"controller_shadow_evals":       "pmsd_controller_shadow_evals_total",
-	// The per-spec controller gauges only exist while the controller
-	// runs; the decisions counter stands in for the snapshot pointer.
-	"controller": "pmsd_controller_decisions_total",
-	// The flight recorder's counter surface fans out into several
-	// pmsd_flightrec_* / pmsd_slo_* series; the events counter stands in
-	// for the snapshot pointer.
-	"flightrec":      "pmsd_flightrec_events_total",
-	"sim_batches":    "pmsd_sim_batches_total",
-	"sim_requests":   "pmsd_sim_requests_total",
-	"sim_cycles":     "pmsd_sim_cycles_total",
-	"sim_conflicts":  "pmsd_sim_conflicts_total",
-	"sim_idle_steps": "pmsd_sim_idle_steps_total",
-}
-
-// endpointSeries maps EndpointSnapshot fields to their labeled series.
-var endpointSeries = map[string]string{
-	"requests":   "pmsd_endpoint_requests_total",
-	"errors_4xx": "pmsd_endpoint_errors_4xx_total",
-	"errors_5xx": "pmsd_endpoint_errors_5xx_total",
-	"latency_us": "pmsd_endpoint_latency_us_count",
-}
-
-// tenantSeries maps TenantSnapshot fields to their tenant-labeled series.
-var tenantSeries = map[string]string{
-	"tenant":   "pmsd_tenant_requests_total", // the label itself rides every series
-	"requests": "pmsd_tenant_requests_total",
-	"rejected": "pmsd_tenant_rejected_total",
-	"inflight": "pmsd_tenant_inflight",
-}
-
-// storeSeries maps StoreSnapshot fields to their series.
-var storeSeries = map[string]string{
-	"hits":        "pmsd_store_hits_total",
-	"misses":      "pmsd_store_misses_total",
-	"spills":      "pmsd_store_spills_total",
-	"spill_drops": "pmsd_store_spill_drops_total",
-	"corrupt":     "pmsd_store_corrupt_total",
-	"evictions":   "pmsd_store_evictions_total",
-	"bytes":       "pmsd_store_bytes",
-	"entries":     "pmsd_store_entries",
-	"load_ns":     "pmsd_store_load_ns_count",
-}
-
-// domainSeries maps DomainSnapshot fields to their series.
-var domainSeries = map[string]string{
-	"module_accesses":      "pmsd_module_accesses_total",
-	"total_accesses":       "pmsd_accesses_total",
-	"overflow":             "pmsd_module_accesses_overflow_total",
-	"active_modules":       "pmsd_module_active",
-	"max_load":             "pmsd_module_load_max",
-	"max_module":           "pmsd_module_hottest",
-	"mean_load":            "pmsd_module_load_mean",
-	"load_ratio":           "pmsd_module_load_ratio",
-	"batches":              "pmsd_batches_total",
-	"conflicts":            "pmsd_conflicts_total",
-	"families":             "pmsd_template_conflicts_count",
-	"bound_checks":         "pmsd_bound_checks_total",
-	"bound_violations":     "pmsd_bound_violations_total",
-	"bound_checks_skipped": "pmsd_bound_checks_skipped_total",
-	"specs":                "pmsd_spec_template_observations_total",
-}
-
-func jsonTag(f reflect.StructField) string {
-	tag := f.Tag.Get("json")
-	if i := strings.IndexByte(tag, ','); i >= 0 {
-		tag = tag[:i]
-	}
-	return tag
-}
-
-// TestExpositionCoversSnapshotFields is the regression guard of
-// satellite (a): every field of the /debug/vars snapshot (including the
-// endpoint and domain sub-structures) must have a mapped series that is
-// actually present in a populated scrape. Adding a snapshot field
-// without extending the exposition fails here.
-func TestExpositionCoversSnapshotFields(t *testing.T) {
-	srv := New(Config{})
-	defer shutdownServer(t, srv)
-	populateDeterministic(srv)
-	_, sc := scrapeMetrics(t, srv.Handler())
-
-	have := make(map[string]bool)
-	for _, n := range sc.Names() {
-		have[n] = true
-	}
-	requireSeries := func(field, series string) {
-		t.Helper()
-		if series == "" {
-			t.Errorf("snapshot field %q has no exposition series mapping — extend prom.go and this test's tables", field)
-			return
-		}
-		if !have[series] {
-			t.Errorf("snapshot field %q: mapped series %q absent from /metrics", field, series)
-		}
-	}
-
-	epType := reflect.TypeOf(EndpointSnapshot{})
-	top := reflect.TypeOf(MetricsSnapshot{})
-	for i := 0; i < top.NumField(); i++ {
-		f := top.Field(i)
-		tag := jsonTag(f)
-		switch {
-		case f.Type == epType:
-			for j := 0; j < epType.NumField(); j++ {
-				inner := jsonTag(epType.Field(j))
-				series := endpointSeries[inner]
-				requireSeries(tag+"."+inner, series)
-				if series != "" {
-					if _, ok := sc.Value(series, dm.Label{Name: "endpoint", Value: tag}); !ok {
-						t.Errorf("series %s missing endpoint=%q sample", series, tag)
-					}
-				}
-			}
-		case f.Type == reflect.TypeOf([]TenantSnapshot(nil)):
-			tt := reflect.TypeOf(TenantSnapshot{})
-			for j := 0; j < tt.NumField(); j++ {
-				inner := jsonTag(tt.Field(j))
-				series := tenantSeries[inner]
-				requireSeries(tag+"."+inner, series)
-				if series != "" {
-					if _, ok := sc.Value(series, dm.Label{Name: "tenant", Value: "alpha"}); !ok {
-						t.Errorf("series %s missing tenant=\"alpha\" sample", series)
-					}
-				}
-			}
-		case f.Type == reflect.TypeOf((*dm.DomainSnapshot)(nil)):
-			dt := reflect.TypeOf(dm.DomainSnapshot{})
-			for j := 0; j < dt.NumField(); j++ {
-				inner := jsonTag(dt.Field(j))
-				requireSeries("domain."+inner, domainSeries[inner])
-			}
-		case f.Type == reflect.TypeOf((*StoreSnapshot)(nil)):
-			st := reflect.TypeOf(StoreSnapshot{})
-			for j := 0; j < st.NumField(); j++ {
-				inner := jsonTag(st.Field(j))
-				requireSeries("store."+inner, storeSeries[inner])
-			}
-		default:
-			requireSeries(tag, serverSeries[tag])
-		}
-	}
-}
-
 func shutdownServer(t *testing.T, srv *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -353,8 +181,7 @@ func postJSON(t *testing.T, client *http.Client, url, body string) {
 // TestMetricsEndToEndBoundMonitor drives real requests through the
 // handlers and asserts the domain layer observed them: per-module
 // accounting, family histograms, applicable bound checks with zero
-// violations, simulate aggregates, and registry acquire attribution —
-// on both /metrics and /debug/vars.
+// violations, simulate aggregates, and registry acquire attribution.
 func TestMetricsEndToEndBoundMonitor(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -416,32 +243,6 @@ func TestMetricsEndToEndBoundMonitor(t *testing.T) {
 		if _, ok := sc.Value("pmsd_template_conflicts_count", dm.Label{Name: "family", Value: fam}); !ok {
 			t.Errorf("family histogram %q absent", fam)
 		}
-	}
-
-	// The same attribution must appear in the /debug/vars JSON document.
-	resp, err := c.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("decode /debug/vars: %v", err)
-	}
-	if snap.RegistryAcquireMaterializes < 1 {
-		t.Errorf("vars registry_acquire_materializes = %d, want >= 1", snap.RegistryAcquireMaterializes)
-	}
-	if snap.SimRequests != 4 {
-		t.Errorf("vars sim_requests = %d, want 4", snap.SimRequests)
-	}
-	if snap.Domain == nil {
-		t.Fatal("vars domain snapshot absent")
-	}
-	if snap.Domain.BoundViolations != 0 {
-		t.Errorf("vars bound_violations = %d, want 0", snap.Domain.BoundViolations)
-	}
-	if snap.Domain.TotalAccesses <= 0 {
-		t.Errorf("vars total_accesses = %d, want > 0", snap.Domain.TotalAccesses)
 	}
 }
 

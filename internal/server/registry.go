@@ -285,17 +285,6 @@ func (e *regEntry) done() bool {
 	}
 }
 
-// Bytes returns the cached bytes across all shards (for /debug/vars).
-func (r *Registry) Bytes() int64 {
-	var total int64
-	for i := range r.shards {
-		r.shards[i].mu.Lock()
-		total += r.shards[i].bytes
-		r.shards[i].mu.Unlock()
-	}
-	return total
-}
-
 // Len returns the number of cached entries across all shards.
 func (r *Registry) Len() int {
 	var total int
@@ -334,7 +323,7 @@ func (r *Registry) SetOverride(fromKey string, to MappingSpec) {
 }
 
 // Overrides returns the current redirect table as requested-key →
-// effective-key pairs (for /debug/vars and tests).
+// effective-key pairs (tests read it).
 func (r *Registry) Overrides() map[string]string {
 	r.ovMu.RLock()
 	out := make(map[string]string, len(r.overrides))

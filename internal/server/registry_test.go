@@ -57,7 +57,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if evictions := met.registryEvictions.Load(); evictions == 0 {
 		t.Error("no evictions under a tiny budget")
 	}
-	if got, want := reg.Bytes(), int64(registryShards*20<<10+64<<10); got > want {
+	if got, want := met.registryBytes.Load(), int64(registryShards*20<<10+64<<10); got > want {
 		t.Errorf("cached bytes %d above budget+slack %d", got, want)
 	}
 	// Evicted entries rebuild on demand and still answer consistently.

@@ -44,20 +44,15 @@ func replayServerConfig(base Config) Config {
 func replayOnce(cfg Config, tr *replay.Trace) (replay.Result, int64, int64, map[string]int64, error) {
 	srv := New(replayServerConfig(cfg))
 	res := replay.Replay(srv.Handler(), tr)
-	snap := srv.Metrics().Snapshot()
-	tenants := make(map[string]int64, len(snap.Tenants))
-	for _, tn := range snap.Tenants {
-		tenants[tn.Tenant] = tn.Requests
-	}
-	var checks, violations int64
-	if snap.Domain != nil {
-		checks = snap.Domain.BoundChecks
-		violations = snap.Domain.BoundViolations
+	frame := srv.metricFrame()
+	tenants := make(map[string]int64, len(frame.Tenants))
+	for name, tn := range frame.Tenants {
+		tenants[name] = tn.Requests
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err := srv.Shutdown(ctx)
-	return res, checks, violations, tenants, err
+	return res, frame.BoundChecks, frame.BoundViolations, tenants, err
 }
 
 // ReplayFile loads a trace from disk and replays it once against a

@@ -138,8 +138,8 @@ func TestMixedRecordReplayDeterminism(t *testing.T) {
 	if ev := srv.FlightRecorder().Counters().Events; ev < live.Requests {
 		t.Errorf("flight events %d for %d served requests", ev, live.Requests)
 	}
-	if d := srv.Metrics().Snapshot().Domain; d == nil || d.BoundViolations != 0 {
-		t.Errorf("recording run bound monitor: %+v", d)
+	if _, _, v := srv.dom.Counters(); v != 0 {
+		t.Errorf("recording run saw %d bound violations", v)
 	}
 	trace, dropped := cfg.Tape.Trace()
 	if dropped != 0 || int64(len(trace.Records)) < live.Requests {
@@ -234,11 +234,10 @@ func TestChaosRecordReplayDeterminism(t *testing.T) {
 	replayRun := func() run {
 		srv := New(replayServerConfig(cfg))
 		res := replay.Replay(srv.Handler(), trace)
-		snap := srv.Metrics().Snapshot()
-		if snap.Domain == nil {
+		if srv.dom == nil {
 			t.Fatal("domain metrics disabled on replay server")
 		}
-		dom, err := json.Marshal(snap.Domain)
+		dom, err := json.Marshal(srv.dom.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,9 @@
 //     the server answers 429 + Retry-After instead of queueing unboundedly;
 //   - shutdown is graceful: accepted requests drain to completion while
 //     new ones are refused;
-//   - /debug/vars exposes request counts, latency and batch-size
-//     histograms, queue depth and cache counters; /debug/pprof is wired;
+//   - /metrics exposes request counts, latency and batch-size
+//     histograms, queue depth, cache counters and the theorem-bound
+//     monitor in Prometheus text format; /debug/pprof is wired;
 //   - sampled requests carry an obsv trace with per-stage child spans
 //     (admission wait, coalesce wait, registry hit/materialize, batch
 //     compute, response write); /debug/requests serves the per-stage
@@ -24,7 +25,8 @@
 //
 // Endpoints: POST /v1/color, POST /v1/template-cost, POST /v1/simulate,
 // POST /v1/heap/run, POST /v1/heap/workload, POST /v1/range,
-// GET /debug/vars, GET /debug/requests, GET /healthz, /debug/pprof/*.
+// GET /metrics, GET /debug/requests, GET /debug/snapshot, GET /healthz,
+// /debug/pprof/*.
 package server
 
 import (
@@ -292,7 +294,6 @@ func New(cfg Config) *Server {
 	if !cfg.DisableDomainMetrics {
 		s.dom = dm.NewDomain(0)
 	}
-	met.domain = s.dom
 	if cfg.Controller && s.dom != nil {
 		s.ctl = newServerController(s)
 		met.controller = s.ctl.snapshot
@@ -332,9 +333,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Metrics exposes the metrics registry (tests read it).
-func (s *Server) Metrics() *Metrics { return s.met }
-
 // Tracer exposes the request tracer (benchmarks and tests read it).
 func (s *Server) Tracer() *obsv.Tracer { return s.trc }
 
@@ -350,7 +348,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/heap/run", s.instrument("heap_run", s.handleHeapRun))
 	mux.HandleFunc("POST /v1/heap/workload", s.instrument("heap_workload", s.handleHeapWorkload))
 	mux.HandleFunc("POST /v1/range", s.instrument("range_query", s.handleRange))
-	mux.HandleFunc("GET /debug/vars", s.met.varsHandler)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	mux.HandleFunc("GET /debug/snapshot", s.handleFlightSnapshot)

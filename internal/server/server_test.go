@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/coloring"
 	"repro/internal/colormap"
+	dm "repro/internal/metrics"
 	"repro/internal/pms"
 	"repro/internal/template"
 	"repro/internal/tree"
@@ -312,15 +313,14 @@ func TestCoalescing(t *testing.T) {
 		t.Error(err)
 	}
 
-	snap := srv.Metrics().Snapshot()
-	if snap.BatchesFlushed != 1 {
-		t.Errorf("batches_flushed = %d, want 1", snap.BatchesFlushed)
+	if n := srv.met.batchesFlushed.Load(); n != 1 {
+		t.Errorf("batches_flushed = %d, want 1", n)
 	}
-	if snap.CoalescedJobs != clients {
-		t.Errorf("coalesced_jobs = %d, want %d", snap.CoalescedJobs, clients)
+	if n := srv.met.coalescedJobs.Load(); n != clients {
+		t.Errorf("coalesced_jobs = %d, want %d", n, clients)
 	}
-	if snap.Color.Requests != clients {
-		t.Errorf("color requests = %d, want %d", snap.Color.Requests, clients)
+	if n := srv.met.color.requests.Load(); n != clients {
+		t.Errorf("color requests = %d, want %d", n, clients)
 	}
 }
 
@@ -359,7 +359,7 @@ func TestBackpressure(t *testing.T) {
 	}
 	// Wait until all four are admitted (inflight gauge reaches the limit).
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().Snapshot().Inflight < maxInflight {
+	for srv.met.inflight.Load() < maxInflight {
 		if time.Now().After(deadline) {
 			t.Fatal("inflight never reached the admission limit")
 		}
@@ -388,7 +388,7 @@ func TestBackpressure(t *testing.T) {
 			t.Errorf("admitted request finished with %d, want 200", status)
 		}
 	}
-	if rej := srv.Metrics().Snapshot().Rejected429; rej < 1 {
+	if rej := srv.met.rejected429.Load(); rej < 1 {
 		t.Errorf("rejected_429 = %d, want ≥ 1", rej)
 	}
 }
@@ -438,7 +438,7 @@ func testGracefulShutdownDrains(t *testing.T, maxBatch int) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().Snapshot().Inflight < accepted {
+	for srv.met.inflight.Load() < accepted {
 		if time.Now().After(deadline) {
 			t.Fatal("requests were not admitted in time")
 		}
@@ -479,8 +479,12 @@ func testGracefulShutdownDrains(t *testing.T, maxBatch int) {
 	}
 }
 
-func TestDebugVarsAndHealth(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}).Handler())
+// TestHealthAndPprof checks the operational routes: /metrics counts a
+// served lookup, /healthz and the pprof index answer, and the retired
+// JSON counter document at /debug/vars answers 404.
+func TestHealthAndPprof(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	if status := post(t, ts.Client(), ts.URL+"/v1/color", ColorRequest{
@@ -489,20 +493,21 @@ func TestDebugVarsAndHealth(t *testing.T) {
 		t.Fatalf("color status %d", status)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/debug/vars")
+	_, sc := scrapeMetrics(t, srv.Handler())
+	if v, ok := sc.Value("pmsd_endpoint_requests_total", dm.Label{Name: "endpoint", Value: "color"}); !ok || v != 1 {
+		t.Errorf("color requests = %v (present %v), want 1", v, ok)
+	}
+	if v, ok := sc.Value("pmsd_registry_misses_total"); !ok || v != 1 {
+		t.Errorf("registry misses = %v (present %v), want 1", v, ok)
+	}
+
+	vr, err := ts.Client().Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Color.Requests != 1 {
-		t.Errorf("color requests = %d, want 1", snap.Color.Requests)
-	}
-	if snap.RegistryMisses != 1 {
-		t.Errorf("registry misses = %d, want 1", snap.RegistryMisses)
+	vr.Body.Close()
+	if vr.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars status %d, want 404", vr.StatusCode)
 	}
 
 	hr, err := ts.Client().Get(ts.URL + "/healthz")

@@ -101,8 +101,8 @@ type TenantSnapshot struct {
 	Inflight int64  `json:"inflight"`
 }
 
-// snapshot exports all tenants sorted by name, so /debug/vars and the
-// replay determinism check see a stable order.
+// snapshot exports all tenants sorted by name, so the /metrics tenant
+// series come out in a stable order.
 func (tt *tenantTable) snapshot() []TenantSnapshot {
 	tt.mu.RLock()
 	out := make([]TenantSnapshot, 0, len(tt.m))

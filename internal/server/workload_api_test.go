@@ -118,15 +118,12 @@ func TestHeapRunMatchesOracle(t *testing.T) {
 	checkHeapAgainstOracle(t, resp, oracleSystem(t, spec.Levels, spec.M), ops)
 
 	// The run feeds the domain bound monitor; Theorem 4 must hold.
-	snap := srv.Metrics().Snapshot()
-	if snap.Domain == nil {
-		t.Fatal("no domain snapshot")
-	}
-	if snap.Domain.BoundChecks == 0 {
+	_, checks, violations := srv.dom.Counters()
+	if checks == 0 {
 		t.Error("heap run performed no bound checks")
 	}
-	if snap.Domain.BoundViolations != 0 {
-		t.Errorf("bound violations = %d, want 0", snap.Domain.BoundViolations)
+	if violations != 0 {
+		t.Errorf("bound violations = %d, want 0", violations)
 	}
 }
 
@@ -305,9 +302,8 @@ func TestTenantFairnessCap(t *testing.T) {
 	rel1()
 	rel2()
 
-	snap := srv.Metrics().Snapshot()
 	byName := map[string]TenantSnapshot{}
-	for _, tn := range snap.Tenants {
+	for _, tn := range srv.met.tenants.snapshot() {
 		byName[tn.Tenant] = tn
 	}
 	hot := byName["hot"]
@@ -358,12 +354,12 @@ func TestTenantAdmissionHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	snap := srv.Metrics().Snapshot()
-	if len(snap.Tenants) > 8 {
-		t.Errorf("tenant table grew to %d entries above cap 8", len(snap.Tenants))
+	tenants := srv.met.tenants.snapshot()
+	if len(tenants) > 8 {
+		t.Errorf("tenant table grew to %d entries above cap 8", len(tenants))
 	}
 	var requests, inflight int64
-	for _, tn := range snap.Tenants {
+	for _, tn := range tenants {
 		requests += tn.Requests
 		inflight += tn.Inflight
 	}
@@ -375,8 +371,8 @@ func TestTenantAdmissionHammer(t *testing.T) {
 	if inflight != 0 {
 		t.Errorf("tenant inflight = %d after drain, want 0", inflight)
 	}
-	if snap.Inflight != 0 {
-		t.Errorf("global inflight = %d after drain, want 0", snap.Inflight)
+	if n := srv.met.inflight.Load(); n != 0 {
+		t.Errorf("global inflight = %d after drain, want 0", n)
 	}
 
 	// Goroutine-leak check: allow the handful of idle http keepalive

@@ -19,33 +19,47 @@
 #      (persisting its memory tier to the store), and a relaunch over the
 #      same directory warm-starts: the pre-warmed spec is served without
 #      a single rematerialization and the bound monitor stays at zero.
+#
+# Every pmsd the script starts must keep the bound monitor
+# (pmsd_bound_violations_total on /metrics) at zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WORKDIR="$(mktemp -d)"
+SERVER_PID=""
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
+
+# LOG is the log of the pmsd under test; fail prints it.
+LOG=/dev/null
+fail() { echo "FAIL: $*" >&2; cat "$LOG" >&2; exit 1; }
+
+# start_pmsd LOG ARGS... launches pmsd on a random local port with ARGS,
+# logging to $WORKDIR/LOG, waits for its listen line and sets SERVER_PID,
+# ADDR and BASE.
+start_pmsd() {
+    LOG="$WORKDIR/$1"
+    shift
+    "$WORKDIR/pmsd" -addr 127.0.0.1:0 "$@" >"$LOG" 2>&1 &
+    SERVER_PID=$!
+    ADDR=""
+    for _ in $(seq 1 100); do
+        ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$LOG")"
+        [ -n "$ADDR" ] && break
+        sleep 0.05
+    done
+    [ -n "$ADDR" ] || fail "pmsd $* never reported its listen address"
+    BASE="http://$ADDR"
+}
+
+# counter NAME prints the value of the unlabeled /metrics series NAME
+# read from stdin, or nothing when the series is absent.
+counter() { sed -n "s/^$1 \([0-9]*\)$/\1/p"; }
 
 echo "== building pmsd"
 go build -o "$WORKDIR/pmsd" ./cmd/pmsd
 
-"$WORKDIR/pmsd" -addr 127.0.0.1:0 -workers 1 -max-inflight 4 \
-    -max-batch 64 -worker-delay 100ms >"$WORKDIR/pmsd.log" 2>&1 &
-SERVER_PID=$!
-
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$WORKDIR/pmsd.log")"
-    [ -n "$ADDR" ] && break
-    sleep 0.05
-done
-if [ -z "${ADDR:-}" ]; then
-    echo "FAIL: pmsd never reported its listen address" >&2
-    cat "$WORKDIR/pmsd.log" >&2
-    exit 1
-fi
-BASE="http://$ADDR"
+start_pmsd pmsd.log -workers 1 -max-inflight 4 -max-batch 64 -worker-delay 100ms
 echo "== pmsd on $BASE"
-
-fail() { echo "FAIL: $*" >&2; cat "$WORKDIR/pmsd.log" >&2; exit 1; }
 
 MAPPING='{"alg":"color","levels":16,"m":3}'
 
@@ -95,7 +109,6 @@ echo "== coalescing burst"
 # per batch, so lookups that arrive while it is busy join the queued
 # group for their spec: the burst must flush fewer batches than it had
 # lookups served (past -max-inflight 4 the rest are shed with 429).
-counter() { sed -n "s/^$1 \([0-9]*\)$/\1/p"; }
 BEFORE=$(curl -s "$BASE/metrics")
 pids=()
 for i in $(seq 0 7); do
@@ -180,8 +193,10 @@ rejects=$(cat "$WORKDIR"/burst.* | grep -c '^429$' || true)
 echo "   200s=$oks 429s=$rejects"
 [ "$rejects" -gt 0 ] || fail "saturating burst produced no 429s"
 [ "$oks" -gt 0 ] || fail "saturating burst starved every request"
-VARS=$(curl -s "$BASE/debug/vars")
-echo "$VARS" | grep -q '"rejected_429":0' && fail "metrics did not count the 429s: $VARS"
+rejected=$(curl -s "$BASE/metrics" | counter pmsd_rejected_429_total)
+[ -n "$rejected" ] && [ "$rejected" -ge "$rejects" ] ||
+    fail "pmsd_rejected_429_total=${rejected:-absent}, want at least the burst's $rejects 429s"
+echo "   pmsd_rejected_429_total=$rejected"
 
 echo "== graceful shutdown"
 kill -TERM "$SERVER_PID"
@@ -195,16 +210,7 @@ echo "== trace record/replay"
 # PMSTRC1 file on SIGTERM; two -replay runs of that file must print the
 # same digest with the bound monitor at zero.
 TRACEFILE="$WORKDIR/run.pmstrc"
-"$WORKDIR/pmsd" -addr 127.0.0.1:0 -record "$TRACEFILE" -seed 5 \
-    >"$WORKDIR/pmsd-record.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$WORKDIR/pmsd-record.log")"
-    [ -n "$ADDR" ] && break
-    sleep 0.05
-done
-[ -n "${ADDR:-}" ] || fail "recording pmsd never reported its listen address: $(cat "$WORKDIR/pmsd-record.log")"
-BASE="http://$ADDR"
+start_pmsd pmsd-record.log -record "$TRACEFILE" -seed 5
 for i in $(seq 0 3); do
     curl -s -o /dev/null -H 'X-Tenant: smoke-rec' -X POST "$BASE/v1/color" \
         -d '{"mapping":'"$MAPPING"',"node":{"index":'"$i"',"level":4}}'
@@ -213,9 +219,10 @@ for i in $(seq 0 3); do
     curl -s -o /dev/null -H 'X-Tenant: smoke-rec' -X POST "$BASE/v1/range" \
         -d '{"mapping":'"$MAPPING"',"ranges":[['"$i"',40]]}'
 done
+grep -q '^pmsd_bound_violations_total 0$' <<<"$(curl -s "$BASE/metrics")" || fail "bound monitor not at zero while recording"
 kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" || fail "recording pmsd exited non-zero on SIGTERM: $(cat "$WORKDIR/pmsd-record.log")"
-grep -q 'recorded=12 dropped=0' "$WORKDIR/pmsd-record.log" || fail "tape did not hold the 12 POSTs: $(cat "$WORKDIR/pmsd-record.log")"
+wait "$SERVER_PID" || fail "recording pmsd exited non-zero on SIGTERM"
+grep -q 'recorded=12 dropped=0' "$WORKDIR/pmsd-record.log" || fail "tape did not hold the 12 POSTs"
 for run in 1 2; do
     "$WORKDIR/pmsd" -replay "$TRACEFILE" >"$WORKDIR/replay$run.out" 2>&1 \
         || fail "pmsd -replay run $run failed: $(cat "$WORKDIR/replay$run.out")"
@@ -232,18 +239,10 @@ echo "== tiered store: cold run"
 # The graceful shutdown must flush the resident memory tier into the
 # store so the next process can warm-start from it.
 STOREDIR="$WORKDIR/store"
-"$WORKDIR/pmsd" -addr 127.0.0.1:0 -store-dir "$STOREDIR" \
-    >"$WORKDIR/pmsd-store1.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$WORKDIR/pmsd-store1.log")"
-    [ -n "$ADDR" ] && break
-    sleep 0.05
-done
-[ -n "${ADDR:-}" ] || fail "store-backed pmsd never reported its listen address: $(cat "$WORKDIR/pmsd-store1.log")"
-BASE="http://$ADDR"
+start_pmsd pmsd-store1.log -store-dir "$STOREDIR"
 body=$(curl -s -X POST "$BASE/v1/color" -d '{"mapping":'"$MAPPING"',"node":{"index":5,"level":3}}')
 echo "$body" | grep -q '"colors":\[' || fail "store-backed color reply malformed: $body"
+grep -q '^pmsd_bound_violations_total 0$' <<<"$(curl -s "$BASE/metrics")" || fail "bound monitor not at zero on the cold run"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "store-backed pmsd exited non-zero on SIGTERM"
 [ -f "$STOREDIR/MANIFEST" ] || fail "store drain left no manifest in $STOREDIR"
@@ -252,28 +251,18 @@ ls "$STOREDIR"/*.pme >/dev/null 2>&1 || fail "store drain left no entries in $ST
 echo "== tiered store: warm restart"
 # Relaunch over the same directory: the hot spec must be pre-admitted
 # from the manifest and served without a single rematerialization.
-"$WORKDIR/pmsd" -addr 127.0.0.1:0 -store-dir "$STOREDIR" -store-warm 16 \
-    >"$WORKDIR/pmsd-store2.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$WORKDIR/pmsd-store2.log")"
-    [ -n "$ADDR" ] && break
-    sleep 0.05
-done
-[ -n "${ADDR:-}" ] || fail "warm pmsd never reported its listen address: $(cat "$WORKDIR/pmsd-store2.log")"
-BASE="http://$ADDR"
-grep -q "warm start" "$WORKDIR/pmsd-store2.log" || fail "no warm-start log line: $(cat "$WORKDIR/pmsd-store2.log")"
+start_pmsd pmsd-store2.log -store-dir "$STOREDIR" -store-warm 16
+grep -q "warm start" "$WORKDIR/pmsd-store2.log" || fail "no warm-start log line"
 body=$(curl -s -X POST "$BASE/v1/color" -d '{"mapping":'"$MAPPING"',"node":{"index":5,"level":3}}')
 echo "$body" | grep -q '"colors":\[' || fail "warm color reply malformed: $body"
 body=$(curl -s -X POST "$BASE/v1/template-cost" \
     -d '{"mapping":'"$MAPPING"',"kind":"P","size":6,"anchor":{"index":100,"level":9}}')
 echo "$body" | grep -q '"conflicts":' || fail "warm template-cost reply malformed: $body"
-VARS=$(curl -s "$BASE/debug/vars")
-mat=$(echo "$VARS" | grep -o '"registry_acquire_materializes":[0-9]*' | cut -d: -f2)
-[ "${mat:-1}" = 0 ] || fail "warm restart paid $mat rematerializations: $VARS"
-hits=$(echo "$VARS" | grep -o '"registry_acquire_hits":[0-9]*' | cut -d: -f2)
-[ "${hits:-0}" -gt 0 ] || fail "warm restart served no memory hits: $VARS"
 METRICS=$(curl -s "$BASE/metrics")
+mat=$(counter pmsd_registry_acquire_materializes_total <<<"$METRICS")
+[ "$mat" = 0 ] || fail "warm restart paid ${mat:-absent} rematerializations: $METRICS"
+hits=$(counter pmsd_registry_acquire_hits_total <<<"$METRICS")
+[ "${hits:-0}" -gt 0 ] || fail "warm restart served no memory hits: $METRICS"
 echo "$METRICS" | grep -q '^pmsd_store_entries ' || fail "no pmsd_store_* series in /metrics: $METRICS"
 echo "$METRICS" | grep -q '^pmsd_store_corrupt_total 0$' || fail "store reports corrupt entries: $METRICS"
 echo "$METRICS" | grep -q '^pmsd_bound_violations_total 0$' || fail "bound monitor not at zero violations after warm restart: $METRICS"
@@ -291,17 +280,8 @@ echo "== adaptive controller: migration under S-heavy traffic"
 CTRLSTORE="$WORKDIR/ctrl-store"
 CTRLSPEC='{"alg":"levelcyclic","levels":12,"modules":15}'
 SUBTREE='{"mapping":'"$CTRLSPEC"',"kind":"S","size":7,"anchor":{"index":3,"level":3}}'
-"$WORKDIR/pmsd" -addr 127.0.0.1:0 -store-dir "$CTRLSTORE" \
-    -controller -controller-interval 100ms -shadow-sample 1 \
-    >"$WORKDIR/pmsd-ctrl1.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$WORKDIR/pmsd-ctrl1.log")"
-    [ -n "$ADDR" ] && break
-    sleep 0.05
-done
-[ -n "${ADDR:-}" ] || fail "controller pmsd never reported its listen address: $(cat "$WORKDIR/pmsd-ctrl1.log")"
-BASE="http://$ADDR"
+start_pmsd pmsd-ctrl1.log -store-dir "$CTRLSTORE" \
+    -controller -controller-interval 100ms -shadow-sample 1
 for i in $(seq 0 23); do
     body=$(curl -s -X POST "$BASE/v1/template-cost" \
         -d '{"mapping":'"$CTRLSPEC"',"kind":"S","size":7,"anchor":{"index":'"$((i % 8))"',"level":3}}')
@@ -325,7 +305,7 @@ echo "$METRICS" | grep -q '^pmsd_bound_violations_total 0$' || fail "bound monit
 # spec answer with the effective COLOR mapping in the response header.
 hdr=$(curl -s -D - -o /dev/null -X POST "$BASE/v1/template-cost" -d "$SUBTREE" \
     | tr -d '\r' | sed -n 's/^X-Effective-Mapping: //p')
-[ "$hdr" = "color/H=12/m=4" ] || fail "effective-mapping header '$hdr', want color/H=12/m=4: $(cat "$WORKDIR/pmsd-ctrl1.log")"
+[ "$hdr" = "color/H=12/m=4" ] || fail "effective-mapping header '$hdr', want color/H=12/m=4"
 echo "   migrated: effective=$hdr violations=0"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "controller pmsd exited non-zero on SIGTERM"
@@ -334,23 +314,14 @@ echo "== adaptive controller: decision survives warm restart"
 # Relaunch over the same store directory: the persisted decision must
 # re-apply the override and serve the flushed COLOR artifact from disk
 # without a single rematerialization.
-"$WORKDIR/pmsd" -addr 127.0.0.1:0 -store-dir "$CTRLSTORE" -store-warm 16 \
-    >"$WORKDIR/pmsd-ctrl2.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$WORKDIR/pmsd-ctrl2.log")"
-    [ -n "$ADDR" ] && break
-    sleep 0.05
-done
-[ -n "${ADDR:-}" ] || fail "restarted controller pmsd never reported its listen address: $(cat "$WORKDIR/pmsd-ctrl2.log")"
-BASE="http://$ADDR"
+start_pmsd pmsd-ctrl2.log -store-dir "$CTRLSTORE" -store-warm 16
 hdr=$(curl -s -D - -o /dev/null -X POST "$BASE/v1/template-cost" -d "$SUBTREE" \
     | tr -d '\r' | sed -n 's/^X-Effective-Mapping: //p')
-[ "$hdr" = "color/H=12/m=4" ] || fail "restart lost the migration (header '$hdr'): $(cat "$WORKDIR/pmsd-ctrl2.log")"
-VARS=$(curl -s "$BASE/debug/vars")
-mat=$(echo "$VARS" | grep -o '"registry_acquire_materializes":[0-9]*' | cut -d: -f2)
-[ "${mat:-1}" = 0 ] || fail "restart paid $mat rematerializations for the migrated mapping: $VARS"
-grep -q '^pmsd_bound_violations_total 0$' <<<"$(curl -s "$BASE/metrics")" || fail "bound monitor not at zero after controller warm restart"
+[ "$hdr" = "color/H=12/m=4" ] || fail "restart lost the migration (header '$hdr')"
+METRICS=$(curl -s "$BASE/metrics")
+mat=$(counter pmsd_registry_acquire_materializes_total <<<"$METRICS")
+[ "$mat" = 0 ] || fail "restart paid ${mat:-absent} rematerializations for the migrated mapping: $METRICS"
+echo "$METRICS" | grep -q '^pmsd_bound_violations_total 0$' || fail "bound monitor not at zero after controller warm restart: $METRICS"
 echo "   warm restart: effective=$hdr materializes=0"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "restarted controller pmsd exited non-zero on SIGTERM"
@@ -362,17 +333,9 @@ echo "== forensics: forced SLO breach and incident round-trip"
 # -replay re-drives the bundled window under the recorded chaos schedule
 # to confirm the breach reproduces deterministically.
 INCDIR="$WORKDIR/incidents"
-"$WORKDIR/pmsd" -addr 127.0.0.1:0 -chaos -chaos-seed 7 -chaos-error 0.9 -chaos-burst 4 \
+start_pmsd pmsd-forensics.log -chaos -chaos-seed 7 -chaos-error 0.9 -chaos-burst 4 \
     -chaos-latency 0 -flightrec-dir "$INCDIR" -slo-error-rate 5 -slo-interval 200ms \
-    -max-batch 1 >"$WORKDIR/pmsd-forensics.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*pmsd listening on \([0-9.:]*\).*/\1/p' "$WORKDIR/pmsd-forensics.log")"
-    [ -n "$ADDR" ] && break
-    sleep 0.05
-done
-[ -n "${ADDR:-}" ] || fail "forensics pmsd never reported its listen address: $(cat "$WORKDIR/pmsd-forensics.log")"
-BASE="http://$ADDR"
+    -max-batch 1
 # Strictly sequential traffic, so the recorded window replays against
 # the rebuilt chaos schedule index-for-index.
 for i in $(seq 0 39); do
@@ -385,7 +348,7 @@ for _ in $(seq 1 50); do
     [ -n "$inc" ] && break
     sleep 0.1
 done
-[ -n "$inc" ] || fail "watchdog never wrote an incident: $(cat "$WORKDIR/pmsd-forensics.log")"
+[ -n "$inc" ] || fail "watchdog never wrote an incident"
 METRICS=$(curl -s "$BASE/metrics")
 echo "$METRICS" | grep -q '^pmsd_slo_breaches_total [1-9]' || fail "no SLO breach counted: $METRICS"
 echo "$METRICS" | grep -q '^pmsd_bound_violations_total 0$' || fail "bound monitor tripped under chaos: $METRICS"
