@@ -132,19 +132,21 @@ func Classify(obs, conf [metrics.NumFamilies]int64) Profile {
 
 // Controller runs the policy loop. Tick is safe to call from one
 // goroutine (the server's interval loop or a bench harness); per-entry
-// state is guarded so status readers may inspect it concurrently.
+// state is guarded so status readers may inspect it concurrently. A
+// tick works on a copy of each entry's state and publishes it under mu
+// once, when the entry's evaluation ends.
 type Controller struct {
 	cfg  Config
 	host Host
 
 	mu    sync.Mutex
-	state map[string]*State
+	state map[string]State
 }
 
 // New builds a controller over the host with the given policy knobs
 // (zero-valued fields take the documented defaults).
 func New(cfg Config, host Host) *Controller {
-	return &Controller{cfg: cfg.withDefaults(), host: host, state: make(map[string]*State)}
+	return &Controller{cfg: cfg.withDefaults(), host: host, state: make(map[string]State)}
 }
 
 // States returns a copy of the per-entry hysteresis state, keyed by
@@ -154,7 +156,7 @@ func (c *Controller) States() map[string]State {
 	defer c.mu.Unlock()
 	out := make(map[string]State, len(c.state))
 	for k, st := range c.state {
-		out[k] = *st
+		out[k] = st
 	}
 	return out
 }
@@ -173,11 +175,15 @@ func (c *Controller) Tick(now time.Time) (migrations int) {
 func (c *Controller) tickEntry(now time.Time, e Entry) (migrated bool) {
 	c.mu.Lock()
 	st, ok := c.state[e.Key]
-	if !ok {
-		st = &State{Current: e.Effective}
-		c.state[e.Key] = st
-	}
 	c.mu.Unlock()
+	if !ok {
+		st = State{Current: e.Effective}
+	}
+	defer func() {
+		c.mu.Lock()
+		c.state[e.Key] = st
+		c.mu.Unlock()
+	}()
 
 	// Stage 1: classify the window since the previous tick. An idle
 	// entry (no new observations) is held without scoring — shadow
@@ -228,7 +234,7 @@ func (c *Controller) tickEntry(now time.Time, e Entry) (migrated bool) {
 	}
 
 	// Stage 3: decide under hysteresis and act.
-	d := Decide(c.cfg, *st, now, current, scores)
+	d := Decide(c.cfg, st, now, current, scores)
 	ev := Event{Key: e.Key, Action: d.Action, From: st.Current, To: d.Target.Key,
 		Reason: d.Reason, Profile: profile, Scores: scores, Dwell: dwell}
 	if d.Action != ActionMigrate {
@@ -246,11 +252,9 @@ func (c *Controller) tickEntry(now time.Time, e Entry) (migrated bool) {
 		c.host.Event(ev)
 		return false
 	}
-	c.mu.Lock()
 	st.Current = d.Target.Key
 	st.LastMigration = now
 	st.Migrations++
-	c.mu.Unlock()
 	ev.Dwell = 0
 	c.host.Event(ev)
 	return true

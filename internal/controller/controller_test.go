@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -451,5 +452,46 @@ func TestTickMigrationFailureHoldsState(t *testing.T) {
 	f.addTraffic(hotKey, 100, 200)
 	if n := ctrl.Tick(time.Unix(1001, 0)); n != 1 {
 		t.Fatalf("retry after failed migration held: %+v", f.lastEvent())
+	}
+}
+
+// TestStatesReadDuringTicks reads States() in a loop, as every /metrics
+// scrape of a -controller pmsd does, while Tick runs over fresh traffic.
+// Tick writes the entry's state; under -race any write outside c.mu
+// shows up here. The Gosched calls interleave the two goroutines even
+// on one core.
+func TestStatesReadDuringTicks(t *testing.T) {
+	f := newFakeHost()
+	ctrl := New(testConfig(), f)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = ctrl.States()
+			runtime.Gosched()
+		}
+	}()
+	now := time.Unix(1000, 0)
+	const ticks = 200
+	for i := 0; i < ticks; i++ {
+		f.addTraffic(hotKey, 100, 200)
+		ctrl.Tick(now.Add(time.Duration(i) * time.Second))
+		runtime.Gosched()
+	}
+	close(stop)
+	<-done
+	st := ctrl.States()[hotKey]
+	if st.Current != "bylevel" || st.Migrations != 1 {
+		t.Errorf("state after %d ticks = %+v, want one migration to bylevel", ticks, st)
+	}
+	if st.PrevObs[2] != ticks*100 || st.PrevConf[2] != ticks*200 {
+		t.Errorf("window baseline = obs %d conf %d, want %d and %d",
+			st.PrevObs[2], st.PrevConf[2], ticks*100, ticks*200)
 	}
 }

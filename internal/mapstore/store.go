@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/coloring"
+	"repro/internal/obsv"
 )
 
 // Options configures a Store.
@@ -57,10 +57,6 @@ type Options struct {
 	now func() time.Time
 }
 
-// LoadBuckets is the bucket count of the load-latency histogram,
-// matching the serving layer's power-of-two histograms.
-const LoadBuckets = 28
-
 // Stats is a point-in-time snapshot of the store counters.
 type Stats struct {
 	Hits       int64 // Get answered from disk (or the decoded-entry cache)
@@ -71,10 +67,6 @@ type Stats struct {
 	Evictions  int64 // entries unlinked by budget/TTL GC
 	Bytes      int64 // resident on-disk bytes
 	Entries    int64 // resident entries
-
-	LoadNSCount   int64 // successful disk loads
-	LoadNSSum     int64 // total load nanoseconds
-	LoadNSBuckets [LoadBuckets]int64
 }
 
 // entry is one committed on-disk artifact.
@@ -113,8 +105,8 @@ type Store struct {
 	spillWG sync.WaitGroup
 
 	hits, misses, spills, spillDrops, corrupt, evictions atomic.Int64
-	loadCount, loadSum                                   atomic.Int64
-	loadBuckets                                          [LoadBuckets]atomic.Int64
+
+	loadNS obsv.Histogram // successful disk loads, in nanoseconds
 }
 
 // Open loads (or initializes) the store in opts.Dir: stale temp files
@@ -268,7 +260,7 @@ func (s *Store) Get(key string) (coloring.Mapping, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	s.observeLoad(time.Since(start).Nanoseconds())
+	s.loadNS.Observe(time.Since(start).Nanoseconds())
 
 	s.mu.Lock()
 	if s.closed {
@@ -480,20 +472,19 @@ func (s *Store) Decisions() map[string]string {
 	return out
 }
 
+// LoadNS is the latency histogram of successful disk loads, in
+// nanoseconds.
+func (s *Store) LoadNS() *obsv.Histogram { return &s.loadNS }
+
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		Spills:      s.spills.Load(),
-		SpillDrops:  s.spillDrops.Load(),
-		Corrupt:     s.corrupt.Load(),
-		Evictions:   s.evictions.Load(),
-		LoadNSCount: s.loadCount.Load(),
-		LoadNSSum:   s.loadSum.Load(),
-	}
-	for i := range s.loadBuckets {
-		st.LoadNSBuckets[i] = s.loadBuckets[i].Load()
+		Hits:       s.hits.Load(),
+		Misses:     s.misses.Load(),
+		Spills:     s.spills.Load(),
+		SpillDrops: s.spillDrops.Load(),
+		Corrupt:    s.corrupt.Load(),
+		Evictions:  s.evictions.Load(),
 	}
 	s.mu.Lock()
 	st.Bytes = s.bytes
@@ -636,18 +627,4 @@ func atomicWrite(path string, data []byte) error {
 		dir.Close()
 	}
 	return nil
-}
-
-// observeLoad records one successful load's latency.
-func (s *Store) observeLoad(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= LoadBuckets {
-		i = LoadBuckets - 1
-	}
-	s.loadCount.Add(1)
-	s.loadSum.Add(ns)
-	s.loadBuckets[i].Add(1)
 }

@@ -134,8 +134,8 @@ func TestRoundTripKinds(t *testing.T) {
 			if st.Hits != 6 || st.Misses != 0 || st.Entries != 3 {
 				t.Fatalf("stats after round trip: %+v", st)
 			}
-			if st.LoadNSCount != 3 {
-				t.Fatalf("load count = %d, want 3", st.LoadNSCount)
+			if n, _, _ := s2.LoadNS().Load(); n != 3 {
+				t.Fatalf("load count = %d, want 3", n)
 			}
 		})
 	}

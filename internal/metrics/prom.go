@@ -117,14 +117,6 @@ func (e *Expo) Histogram(name string, labels []Label, h *obsv.Histogram) {
 		return
 	}
 	count, sum, buckets := h.Load()
-	e.HistogramData(name, labels, count, sum, buckets)
-}
-
-// HistogramData renders raw power-of-two histogram counters (the layout
-// obsv.Histogram.Load returns) as a cumulative Prometheus histogram.
-// Exported so layers with their own identically-bucketed histograms
-// (the server's private latency/batch histograms) share this renderer.
-func (e *Expo) HistogramData(name string, labels []Label, count, sum int64, buckets [obsv.NumBuckets]int64) {
 	e.typeLine(name, "histogram")
 	var cum int64
 	for i := 0; i < obsv.NumBuckets-1; i++ {

@@ -1,25 +1,32 @@
 // Package obsv is a zero-dependency, request-scoped tracing layer for
-// the pmsd serving path. Each traced request carries one *Trace with
-// child spans for the stages a request passes through — admission wait,
-// coalesce wait, registry acquire (split cache-hit vs. materialize),
-// batch compute, response write — so a slow request is attributable to a
-// specific stage instead of showing up only in an endpoint-level latency
-// histogram. The paper's evaluation turns on exactly this decomposition:
-// addressing cost (registry materialization, retrieval tables) versus
-// parallel-access cost (batch compute), and the tracer makes the two
-// separable in a live server.
+// the pmsd serving path. A request's trace is a Record: its identity,
+// per-stage totals and the spans of the stages it passes through —
+// admission wait, coalesce wait, registry acquire (split cache-hit vs.
+// materialize), batch compute, response write — so a slow request is
+// attributable to a specific stage instead of showing up only in an
+// endpoint-level latency histogram. The paper's evaluation turns on
+// exactly this decomposition: addressing cost (registry
+// materialization, retrieval tables) versus parallel-access cost (batch
+// compute), and the tracer makes the two separable in a live server.
 //
 // Design constraints, in order:
 //
-//   - near-zero cost when a request is not sampled: Tracer.Start returns
-//     a nil *Trace and every method on a nil *Trace is a no-op, so
-//     unsampled requests pay one atomic add and a branch;
-//   - lock-free recording on the sampled hot path for aggregates:
-//     per-stage histograms are atomic power-of-two buckets, written with
-//     plain atomic adds;
+//   - no allocation per traced request: a Record is a fixed-size value
+//     (fixed span slots, a [NumStages] array of totals) that lives
+//     inside its owner's per-request state, which pmsd pools;
+//   - near-zero cost when a request is not sampled: Tracer.Sample leaves
+//     the Record untraced, and Span and Finish return at once on an
+//     untraced Record, so unsampled requests pay one atomic add and a
+//     branch per span;
+//   - no lock in the Record: it has one writer at a time, and its owner
+//     orders hand-offs to other goroutines (a batch worker recording on
+//     behalf of coalesced requests) with channel operations. Per-stage
+//     histograms are atomic power-of-two buckets, written with plain
+//     atomic adds;
 //   - bounded memory: complete traces land in a fixed-size buffer that
 //     keeps only the slowest N, with an atomic threshold fast-path so
-//     fast traces skip the lock entirely once the buffer is full.
+//     fast traces skip the lock entirely once the buffer is full. Only
+//     an admitted trace is copied out of its Record.
 //
 // Traces join across processes via the X-Request-Id header: the client
 // generates an ID per logical call and stamps every attempt with it
@@ -35,6 +42,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,16 +120,17 @@ func (s Stage) String() string {
 }
 
 // NumBuckets is the bucket count of Histogram: buckets cover
-// 2^0 … 2^27 (~134 s in µs), mirroring the serving metrics layer so the
-// two /debug endpoints read the same way.
+// 2^0 … 2^27 (~134 s in µs).
 const NumBuckets = 28
 
 // Histogram is a lock-free power-of-two bucketed distribution: bucket i
 // counts observations v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i),
 // so bucket i's inclusive upper bound is 2^i - 1. Recording is a few
 // atomic adds; the zero Histogram is ready to use. It is shared beyond
-// this package: internal/metrics reuses it for the domain-level conflict
-// histograms so every histogram in the system buckets identically.
+// this package — the server's latency and batch histograms,
+// internal/metrics' domain-level conflict histograms and
+// internal/mapstore's load latency — so every histogram in the system
+// buckets identically.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -242,25 +251,19 @@ func New(cfg Config) *Tracer {
 // Enabled reports whether the tracer samples at all.
 func (t *Tracer) Enabled() bool { return t != nil && t.sampleEvery > 0 }
 
-// Start begins a trace for one request, or returns nil when the request
-// falls outside the sample. All *Trace methods are nil-safe, so callers
-// thread the (possibly nil) trace through unconditionally.
-func (t *Tracer) Start(id, endpoint string) *Trace {
-	if t == nil || t.sampleEvery == 0 {
-		return nil
+// Sample decides whether the request r records is traced and, when it
+// is, starts r's clock at start. A request outside the sample leaves r
+// untraced.
+func (t *Tracer) Sample(r *Record, start time.Time) {
+	if !t.Enabled() {
+		return
 	}
 	t.started.Add(1)
 	if t.sampleEvery > 1 && t.counter.Add(1)%t.sampleEvery != 0 {
-		return nil
+		return
 	}
 	t.sampled.Add(1)
-	return &Trace{
-		tracer:   t,
-		id:       id,
-		endpoint: endpoint,
-		start:    time.Now(),
-		spans:    make([]SpanSnapshot, 0, 6),
-	}
+	r.tracer, r.start = t, start
 }
 
 // ClientInfo is the client-side attempt metadata joined onto a server
@@ -295,137 +298,107 @@ type TraceSnapshot struct {
 	Spans    []SpanSnapshot `json:"spans"`
 }
 
-// Trace is one sampled request. Spans may be recorded from any
-// goroutine (the batch worker records on behalf of coalesced requests);
-// appends are mutex-guarded, aggregates are lock-free.
-type Trace struct {
-	tracer   *Tracer
-	id       string
-	endpoint string
-	start    time.Time
+// maxSpans is the number of span slots in a Record. A pmsd request
+// records at most five spans (a coalesced lookup: coalesce wait,
+// admission wait, registry acquire, batch compute, response write). A
+// span past the last slot still counts in its stage's total and
+// histogram; only the per-trace span list drops it.
+const maxSpans = 8
 
-	mu      sync.Mutex
-	spans   []SpanSnapshot
-	stageUS [numStages]int64
-	tenant  string
-	mapping string
-	client  *ClientInfo
-	done    bool
+// Record is one request's trace: identity, per-stage totals and fixed
+// span slots. The zero Record is untraced; Tracer.Sample decides
+// whether a request is traced, and Finish ends the trace.
+//
+// A Record holds no lock, and filling one allocates nothing. It has one
+// writer at a time: the owner may hand it to another goroutine (a pool worker) for
+// spans, but must order those writes before its own next access with a
+// channel operation, and must not reuse the Record until every such
+// writer is done with it.
+type Record struct {
+	// Identity, stamped by the serving layer. It is set on every request,
+	// traced or not, since pmsd's flight events read it too; Client only
+	// on traced requests.
+	ID       string     // request ID (X-Request-Id, adopted or generated)
+	Endpoint string     // endpoint name
+	Tenant   string     // sanitized tenant
+	Mapping  string     // effective mapping key after controller overrides
+	Client   ClientInfo // client attempt metadata; zero Attempt when absent
+
+	tracer  *Tracer // nil: not sampled, or finished
+	start   time.Time
+	stageUS [NumStages]int64
+	spans   [maxSpans]SpanSnapshot
+	nspans  int
 }
 
-// ID returns the trace's request ID ("" on a nil trace).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
+// Traced reports whether r is being traced.
+func (r *Record) Traced() bool { return r.tracer != nil }
 
-// SetClient attaches the client attempt metadata parsed from headers.
-func (t *Trace) SetClient(ci ClientInfo) {
-	if t == nil || ci.Attempt == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.client = &ci
-	t.mu.Unlock()
-}
-
-// SetTenant stamps the (sanitized) tenant identity onto the trace.
-func (t *Trace) SetTenant(tenant string) {
-	if t == nil || tenant == "" {
-		return
-	}
-	t.mu.Lock()
-	t.tenant = tenant
-	t.mu.Unlock()
-}
-
-// SetMapping stamps the effective mapping key — the spec actually
-// served after controller overrides — onto the trace.
-func (t *Trace) SetMapping(key string) {
-	if t == nil || key == "" {
-		return
-	}
-	t.mu.Lock()
-	t.mapping = key
-	t.mu.Unlock()
-}
-
-// StageTotalsUS returns the per-stage microsecond totals accumulated by
-// RecordSpan so far, indexed by Stage. Nil-safe (zeroes on a nil trace).
-func (t *Trace) StageTotalsUS() [NumStages]int64 {
-	var out [NumStages]int64
-	if t == nil {
-		return out
-	}
-	t.mu.Lock()
-	out = t.stageUS
-	t.mu.Unlock()
-	return out
-}
-
-// RecordSpan records one stage span measured by the caller. start may
-// come from another goroutine's clock reading; a zero start is ignored.
-// The duration also feeds the tracer's lock-free per-stage histogram.
-func (t *Trace) RecordSpan(stage Stage, start time.Time, d time.Duration) {
-	if t == nil || start.IsZero() {
+// Span records one stage span measured by the caller. start may come
+// from another goroutine's clock reading; a zero start is ignored, as is
+// every span on an untraced Record. The duration also feeds the
+// tracer's lock-free per-stage histogram.
+func (r *Record) Span(stage Stage, start time.Time, d time.Duration) {
+	if r.tracer == nil || start.IsZero() {
 		return
 	}
 	us := d.Microseconds()
-	t.tracer.stages[stage].Observe(us)
-	t.mu.Lock()
-	if !t.done {
-		t.stageUS[stage] += us
-		t.spans = append(t.spans, SpanSnapshot{
-			Stage:   stage.String(),
-			StartUS: start.Sub(t.start).Microseconds(),
-			DurUS:   us,
-		})
+	r.tracer.stages[stage].Observe(us)
+	r.stageUS[stage] += us
+	if r.nspans < maxSpans {
+		r.spans[r.nspans] = SpanSnapshot{Stage: stage.String(), StartUS: start.Sub(r.start).Microseconds(), DurUS: us}
+		r.nspans++
 	}
-	t.mu.Unlock()
 }
 
-var noopEnd = func() {}
-
-// StartSpan opens a stage span on the calling goroutine and returns the
-// closure that ends it. On a nil trace both sides are free.
-func (t *Trace) StartSpan(stage Stage) func() {
-	if t == nil {
-		return noopEnd
+// SpanSince records a span of stage from start until now.
+func (r *Record) SpanSince(stage Stage, start time.Time) {
+	if r.tracer == nil {
+		return
 	}
-	start := time.Now()
-	return func() { t.RecordSpan(stage, start, time.Since(start)) }
+	r.Span(stage, start, time.Since(start))
 }
+
+// StagesUS returns the per-stage microsecond totals of the spans
+// recorded so far, indexed by Stage: all zero on an untraced Record.
+// The total stage stays zero; Finish records the whole request in the
+// tracer only.
+func (r *Record) StagesUS() [NumStages]int64 { return r.stageUS }
 
 // Finish completes the trace with the response status: the total lands
 // in the "total" histogram and the trace becomes a candidate for the
-// slowest-N buffer. Spans recorded after Finish are dropped.
-func (t *Trace) Finish(status int) {
+// slowest-N buffer. It detaches r from the tracer, so later spans and a
+// second Finish are no-ops.
+func (r *Record) Finish(status int) {
+	t := r.tracer
 	if t == nil {
 		return
 	}
-	total := time.Since(t.start)
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return
-	}
-	t.done = true
+	r.tracer = nil
+	total := time.Since(r.start).Microseconds()
+	t.stages[StageTotal].Observe(total)
+	t.finished.Add(1)
+	t.slow.offer(r, status, total)
+}
+
+// snapshot copies r out as a complete trace. Spans is never nil, so a
+// trace without spans encodes "spans":[].
+func (r *Record) snapshot(status int, totalUS int64) TraceSnapshot {
 	snap := TraceSnapshot{
-		ID:       t.id,
-		Endpoint: t.endpoint,
-		Tenant:   t.tenant,
-		Mapping:  t.mapping,
+		ID:       r.ID,
+		Endpoint: r.Endpoint,
+		Tenant:   r.Tenant,
+		Mapping:  r.Mapping,
 		Status:   status,
-		TotalUS:  total.Microseconds(),
-		Client:   t.client,
-		Spans:    t.spans,
+		TotalUS:  totalUS,
+		Spans:    make([]SpanSnapshot, r.nspans),
 	}
-	t.mu.Unlock()
-	t.tracer.stages[StageTotal].Observe(total.Microseconds())
-	t.tracer.finished.Add(1)
-	t.tracer.slow.offer(snap)
+	if r.Client.Attempt != 0 {
+		ci := r.Client
+		snap.Client = &ci
+	}
+	copy(snap.Spans, r.spans[:r.nspans])
+	return snap
 }
 
 // Snapshot is the /debug/requests JSON document.
@@ -481,14 +454,16 @@ type slowBuffer struct {
 	entries  []TraceSnapshot
 }
 
-func (b *slowBuffer) offer(snap TraceSnapshot) {
-	if snap.TotalUS <= b.min.Load() {
+// offer admits r's finished trace when it is among the slowest N seen,
+// copying it out of r only then.
+func (b *slowBuffer) offer(r *Record, status int, totalUS int64) {
+	if totalUS <= b.min.Load() {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.entries) < b.capacity {
-		b.entries = append(b.entries, snap)
+		b.entries = append(b.entries, r.snapshot(status, totalUS))
 		if len(b.entries) == b.capacity {
 			b.min.Store(b.minLocked())
 		}
@@ -502,10 +477,10 @@ func (b *slowBuffer) offer(snap TraceSnapshot) {
 			idx, minTotal = i+1, e.TotalUS
 		}
 	}
-	if snap.TotalUS <= minTotal {
+	if totalUS <= minTotal {
 		return
 	}
-	b.entries[idx] = snap
+	b.entries[idx] = r.snapshot(status, totalUS)
 	b.min.Store(b.minLocked())
 }
 
@@ -548,7 +523,22 @@ func randomPrefix() string {
 }
 
 // NewRequestID returns a process-unique request ID, e.g.
-// "3fa9c12b-000000a4". One atomic add per call.
+// "3fa9c12b-000000a4". One atomic add and one allocation per call.
 func NewRequestID() string {
-	return fmt.Sprintf("%s-%08x", idPrefix, idCounter.Add(1))
+	return formatRequestID(idPrefix, idCounter.Add(1))
+}
+
+// formatRequestID renders prefix-n with n in hex, zero-padded to at
+// least 8 digits: fmt's "%s-%08x" without boxing its arguments, whose
+// allocations vary with n.
+func formatRequestID(prefix string, n uint64) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '-')
+	var digits [16]byte
+	hex := strconv.AppendUint(digits[:0], n, 16)
+	for i := len(hex); i < 8; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, hex...))
 }

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +27,9 @@ func TestSamplingRates(t *testing.T) {
 		tr := New(Config{SampleRate: tc.rate})
 		var got int64
 		for i := 0; i < tc.starts; i++ {
-			if tr.Start(NewRequestID(), "color") != nil {
+			var r Record
+			tr.Sample(&r, time.Now())
+			if r.Traced() {
 				got++
 			}
 		}
@@ -39,38 +42,58 @@ func TestSamplingRates(t *testing.T) {
 	}
 }
 
-func TestNilTraceIsFreeAndSafe(t *testing.T) {
-	var tr *Trace
-	tr.RecordSpan(StageBatchCompute, time.Now(), time.Millisecond)
-	tr.StartSpan(StageAdmissionWait)()
-	tr.SetClient(ClientInfo{Attempt: 2})
-	tr.Finish(200)
-	if tr.ID() != "" {
-		t.Errorf("nil trace ID = %q, want empty", tr.ID())
+// TestUntracedRecordIsFree pins the unsampled path: spans and Finish on
+// an untraced Record record nothing, and a nil or disabled tracer
+// leaves every Record untraced.
+func TestUntracedRecordIsFree(t *testing.T) {
+	var r Record
+	r.Span(StageBatchCompute, time.Now(), time.Millisecond)
+	r.SpanSince(StageAdmissionWait, time.Now())
+	r.Finish(200)
+	if r.Traced() {
+		t.Error("zero Record reports Traced")
+	}
+	if got := r.StagesUS(); got != [NumStages]int64{} {
+		t.Errorf("untraced stage totals = %v, want zeroes", got)
+	}
+	if r.nspans != 0 {
+		t.Errorf("untraced Record holds %d spans", r.nspans)
 	}
 	var tc *Tracer
 	if tc.Enabled() {
 		t.Error("nil tracer Enabled() = true")
 	}
-	if tc.Start("x", "y") != nil {
-		t.Error("nil tracer Start returned a trace")
+	tc.Sample(&r, time.Now())
+	New(Config{SampleRate: 0}).Sample(&r, time.Now())
+	if r.Traced() {
+		t.Error("a nil or disabled tracer traced the Record")
 	}
 	_ = tc.Snapshot()
+	if n := testing.AllocsPerRun(100, func() {
+		var r Record
+		r.Span(StageBatchCompute, time.Now(), time.Millisecond)
+		r.Finish(200)
+	}); n != 0 {
+		t.Errorf("untraced Record allocates %v per request, want 0", n)
+	}
 }
 
 func TestSpansAndStageHistograms(t *testing.T) {
 	tc := New(Config{SampleRate: 1})
-	tr := tc.Start("req-1", "color")
-	if tr == nil {
-		t.Fatal("Start returned nil at rate 1")
-	}
+	tr := &Record{ID: "req-1", Endpoint: "color"}
 	base := time.Now()
-	tr.RecordSpan(StageCoalesceWait, base, 500*time.Microsecond)
-	tr.RecordSpan(StageAdmissionWait, base.Add(500*time.Microsecond), 100*time.Microsecond)
-	tr.RecordSpan(StageRegistryMaterialize, base.Add(600*time.Microsecond), 3*time.Millisecond)
-	end := tr.StartSpan(StageBatchCompute)
-	end()
-	tr.SetClient(ClientInfo{Attempt: 2, ElapsedUS: 1234, Hedge: true})
+	tc.Sample(tr, base)
+	if !tr.Traced() {
+		t.Fatal("Sample left the Record untraced at rate 1")
+	}
+	tr.Span(StageCoalesceWait, base, 500*time.Microsecond)
+	tr.Span(StageAdmissionWait, base.Add(500*time.Microsecond), 100*time.Microsecond)
+	tr.Span(StageRegistryMaterialize, base.Add(600*time.Microsecond), 3*time.Millisecond)
+	tr.SpanSince(StageBatchCompute, time.Now())
+	tr.Client = ClientInfo{Attempt: 2, ElapsedUS: 1234, Hedge: true}
+	if got := tr.StagesUS(); got[StageCoalesceWait] != 500 || got[StageRegistryMaterialize] != 3000 {
+		t.Errorf("stage totals = %v, want coalesce 500 and materialize 3000", got)
+	}
 	tr.Finish(200)
 
 	snap := tc.Snapshot()
@@ -98,10 +121,13 @@ func TestSpansAndStageHistograms(t *testing.T) {
 	if len(got.Spans) != 4 {
 		t.Errorf("spans = %d, want 4", len(got.Spans))
 	}
+	if sp := got.Spans[1]; sp.Stage != "admission_wait" || sp.StartUS != 500 || sp.DurUS != 100 {
+		t.Errorf("span 1 = %+v, want admission_wait at 500µs for 100µs", sp)
+	}
 
 	// Spans after Finish are dropped from the trace and a second Finish
 	// is a complete no-op.
-	tr.RecordSpan(StageResponseWrite, time.Now(), time.Millisecond)
+	tr.Span(StageResponseWrite, time.Now(), time.Millisecond)
 	tr.Finish(500)
 	after := tc.Snapshot()
 	if n := len(after.Slowest[0].Spans); n != 4 {
@@ -117,7 +143,7 @@ func TestSlowBufferKeepsSlowestN(t *testing.T) {
 	b := slowBuffer{capacity: 4}
 	b.min.Store(-1 << 62)
 	for _, us := range []int64{10, 500, 20, 300, 40, 900, 5, 350} {
-		b.offer(TraceSnapshot{ID: "t", TotalUS: us})
+		b.offer(&Record{ID: "t"}, 200, us)
 	}
 	got := b.snapshot()
 	want := []int64{900, 500, 350, 300}
@@ -130,7 +156,7 @@ func TestSlowBufferKeepsSlowestN(t *testing.T) {
 		}
 	}
 	// The floor now rejects anything at or below the kept minimum.
-	b.offer(TraceSnapshot{TotalUS: 300})
+	b.offer(&Record{}, 200, 300)
 	if n := len(b.snapshot()); n != 4 {
 		t.Errorf("buffer grew to %d", n)
 	}
@@ -150,8 +176,20 @@ func TestRequestIDsUnique(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording exercises the cross-goroutine span path (a
-// batch worker recording on behalf of many requests) under -race.
+// TestRequestIDFormat pins the ID layout against fmt's "%s-%08x".
+func TestRequestIDFormat(t *testing.T) {
+	for _, n := range []uint64{0, 1, 0xa4, 0xffffffff, 1 << 32, 1<<64 - 1} {
+		want := fmt.Sprintf("%s-%08x", "3fa9c12b", n)
+		if got := formatRequestID("3fa9c12b", n); got != want {
+			t.Errorf("formatRequestID(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestConcurrentRecording exercises the cross-goroutine span path under
+// -race: a "worker" goroutine records on behalf of each request, and a
+// channel send hands the Record back before its owner records again and
+// finishes, while many requests share one tracer.
 func TestConcurrentRecording(t *testing.T) {
 	tc := New(Config{SampleRate: 1, SlowestN: 8})
 	const traces = 32
@@ -160,15 +198,15 @@ func TestConcurrentRecording(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr := tc.Start(NewRequestID(), "color")
-			var inner sync.WaitGroup
-			inner.Add(1)
+			tr := &Record{ID: NewRequestID(), Endpoint: "color"}
+			tc.Sample(tr, time.Now())
+			done := make(chan struct{})
 			go func() { // the "worker" goroutine
-				defer inner.Done()
-				tr.RecordSpan(StageBatchCompute, time.Now(), time.Microsecond)
+				tr.Span(StageBatchCompute, time.Now(), time.Microsecond)
+				close(done)
 			}()
-			tr.RecordSpan(StageResponseWrite, time.Now(), time.Microsecond)
-			inner.Wait()
+			<-done
+			tr.Span(StageResponseWrite, time.Now(), time.Microsecond)
 			tr.Finish(200)
 		}()
 	}
@@ -257,5 +295,50 @@ func TestBucketLabels(t *testing.T) {
 		if got := BucketLabel(tc.i); got != tc.want {
 			t.Errorf("BucketLabel(%d) = %q, want %q", tc.i, got, tc.want)
 		}
+	}
+}
+
+// TestSpanlessTraceEncodesEmptySpans pins the /debug/requests shape of a
+// trace that recorded no spans: "spans":[] rather than null.
+func TestSpanlessTraceEncodesEmptySpans(t *testing.T) {
+	tc := New(Config{SampleRate: 1})
+	r := Record{ID: "req-0", Endpoint: "color"}
+	tc.Sample(&r, time.Now())
+	r.Finish(200)
+	snap := tc.Snapshot()
+	if len(snap.Slowest) != 1 {
+		t.Fatalf("slowest holds %d traces, want 1", len(snap.Slowest))
+	}
+	data, err := json.Marshal(snap.Slowest[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"spans":[]`) {
+		t.Errorf("spanless trace encodes as %s, want \"spans\":[]", data)
+	}
+}
+
+// TestSpanSlotsOverflow checks a Record past its span slots: the list
+// keeps the first maxSpans spans, and every span still counts in its
+// stage total and histogram.
+func TestSpanSlotsOverflow(t *testing.T) {
+	tc := New(Config{SampleRate: 1})
+	r := Record{ID: "req-0", Endpoint: "color"}
+	base := time.Now()
+	tc.Sample(&r, base)
+	const n = maxSpans + 3
+	for i := 0; i < n; i++ {
+		r.Span(StageBatchCompute, base, 2*time.Microsecond)
+	}
+	if got := r.StagesUS()[StageBatchCompute]; got != 2*n {
+		t.Errorf("batch_compute total = %dµs, want %d", got, 2*n)
+	}
+	r.Finish(200)
+	snap := tc.Snapshot()
+	if c := snap.Stages["batch_compute"].Count; c != n {
+		t.Errorf("batch_compute histogram count = %d, want %d", c, n)
+	}
+	if got := len(snap.Slowest[0].Spans); got != maxSpans {
+		t.Errorf("trace keeps %d spans, want %d", got, maxSpans)
 	}
 }

@@ -653,7 +653,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // or malformed headers yield the zero ClientInfo, which the trace
 // layer treats as "no client metadata".
 func clientInfoFromHeaders(h http.Header) obsv.ClientInfo {
-	attempt, err := strconv.Atoi(h.Get(obsv.HeaderClientAttempt))
+	v := h.Get(obsv.HeaderClientAttempt)
+	if v == "" {
+		return obsv.ClientInfo{} // without Atoi's error allocation
+	}
+	attempt, err := strconv.Atoi(v)
 	if err != nil || attempt <= 0 {
 		return obsv.ClientInfo{}
 	}

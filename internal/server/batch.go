@@ -96,8 +96,8 @@ type colorResult struct {
 type colorJob struct {
 	node tree.Node
 	out  chan colorResult // buffered(1); the worker never blocks sending
-	tr   *obsv.Trace      // nil unless the request is sampled
-	enq  time.Time        // arrival time; set only when tr != nil
+	tr   *obsv.Record     // the request's trace; the send on out ends the worker's writes
+	enq  time.Time        // arrival time; set only when tr is traced
 }
 
 // colorGroup is one queued batch of singleton lookups against one mapping
@@ -140,9 +140,9 @@ func newCoalescer(maxBatch int, pool *pool, reg *Registry, met *Metrics) *coales
 // A group stays open until a worker takes it or it reaches maxBatch, so
 // maxBatch 1 turns batching off. ok=false means the coalescer is shut
 // down (the caller maps this to 503).
-func (c *coalescer) enqueue(spec MappingSpec, n tree.Node, tr *obsv.Trace) (<-chan colorResult, bool) {
+func (c *coalescer) enqueue(spec MappingSpec, n tree.Node, tr *obsv.Record) (<-chan colorResult, bool) {
 	job := colorJob{node: n, out: make(chan colorResult, 1), tr: tr}
-	if tr != nil {
+	if tr.Traced() {
 		job.enq = time.Now()
 	}
 	key := spec.Key()
@@ -202,20 +202,21 @@ func (c *coalescer) submit(g *colorGroup) {
 // every job in it. The seal comes before anything else, the modeled
 // access time included. The batch runs on a pool worker under a pprof
 // label carrying the mapping key, so CPU profiles segment batch work by
-// mapping spec.
+// mapping spec. Each job's spans are recorded before its send on out,
+// and its record is not touched after it (see request).
 func (c *coalescer) runBatch(g *colorGroup) {
 	c.seal(g)
 	c.pool.access()
 	pprof.Do(context.Background(), pprof.Labels("mapping", g.key), func(context.Context) {
 		begin := time.Now()
 		for _, job := range g.jobs {
-			if job.tr != nil {
+			if job.tr.Traced() {
 				// A joiner arrives after its group was queued: it has no
 				// coalesce wait, and its admission wait starts on arrival.
 				wait := max(g.queued.Sub(job.enq), 0)
-				job.tr.RecordSpan(obsv.StageCoalesceWait, job.enq, wait)
+				job.tr.Span(obsv.StageCoalesceWait, job.enq, wait)
 				start := job.enq.Add(wait)
-				job.tr.RecordSpan(obsv.StageAdmissionWait, start, begin.Sub(start))
+				job.tr.Span(obsv.StageAdmissionWait, start, begin.Sub(start))
 			}
 		}
 		acqStart := time.Now()
@@ -226,7 +227,7 @@ func (c *coalescer) runBatch(g *colorGroup) {
 			stage = obsv.StageRegistryHit
 		}
 		for _, job := range g.jobs {
-			job.tr.RecordSpan(stage, acqStart, acqDur)
+			job.tr.Span(stage, acqStart, acqDur)
 		}
 		if err != nil {
 			for _, job := range g.jobs {
@@ -237,8 +238,9 @@ func (c *coalescer) runBatch(g *colorGroup) {
 		if len(g.jobs) >= 2 {
 			c.met.coalescedJobs.Add(int64(len(g.jobs)))
 		}
-		// Color every node first, reply second: spans must be fully
-		// recorded before a reply lets the handler Finish the trace.
+		// Color every node first, reply second: a job's spans must be
+		// fully recorded before its reply lets the handler finish the
+		// trace and release the record.
 		nodes := make([]tree.Node, len(g.jobs))
 		for i := range g.jobs {
 			nodes[i] = g.jobs[i].node
@@ -247,7 +249,7 @@ func (c *coalescer) runBatch(g *colorGroup) {
 		computeStart, computeDur := c.colorBatch(m, dst, nodes)
 		modules := m.Modules()
 		for i := range g.jobs {
-			g.jobs[i].tr.RecordSpan(obsv.StageBatchCompute, computeStart, computeDur)
+			g.jobs[i].tr.Span(obsv.StageBatchCompute, computeStart, computeDur)
 			g.jobs[i].out <- colorResult{color: dst[i], modules: modules}
 		}
 	})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/coloring"
+	"repro/internal/obsv"
 	"repro/internal/tree"
 )
 
@@ -65,14 +66,14 @@ func TestCoalescerQueuesGroupAtOnce(t *testing.T) {
 	spec := modSpec(8, 3)
 	nodes := []tree.Node{tree.V(0, 0), tree.V(5, 3)}
 
-	first, ok := c.enqueue(spec, nodes[0], nil)
+	first, ok := c.enqueue(spec, nodes[0], new(obsv.Record))
 	if !ok {
 		t.Fatal("enqueue refused before shutdown")
 	}
 	if d := p.depth(); d != 1 {
 		t.Fatalf("queue depth after the first lookup = %d, want 1 (its group queued at once)", d)
 	}
-	second, _ := c.enqueue(spec, nodes[1], nil)
+	second, _ := c.enqueue(spec, nodes[1], new(obsv.Record))
 	if d := p.depth(); d != 1 {
 		t.Fatalf("queue depth after the second lookup = %d, want 1 (it joins the queued group)", d)
 	}
@@ -96,7 +97,7 @@ func TestCoalescerSealsAtMaxBatch(t *testing.T) {
 	spec := modSpec(8, 3)
 	outs := make([]<-chan colorResult, 10)
 	for i := range outs {
-		outs[i], _ = c.enqueue(spec, tree.V(int64(i), 4), nil)
+		outs[i], _ = c.enqueue(spec, tree.V(int64(i), 4), new(obsv.Record))
 	}
 	if d := p.depth(); d != 3 {
 		t.Fatalf("queue depth = %d, want 3 groups", d)
@@ -129,7 +130,7 @@ func TestCoalescerSealsBeforeModeledAccess(t *testing.T) {
 	spec := modSpec(8, 3)
 	nodes := []tree.Node{tree.V(0, 0), tree.V(1, 1)}
 
-	first, _ := c.enqueue(spec, nodes[0], nil)
+	first, _ := c.enqueue(spec, nodes[0], new(obsv.Record))
 	// The worker seals within microseconds of taking the group; a group
 	// still open after half the access time is being held open by it.
 	deadline := time.Now().Add(access / 2)
@@ -139,7 +140,7 @@ func TestCoalescerSealsBeforeModeledAccess(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	second, _ := c.enqueue(spec, nodes[1], nil)
+	second, _ := c.enqueue(spec, nodes[1], new(obsv.Record))
 	if n := openJobs(c, spec); n != 1 {
 		t.Fatalf("a lookup during the modeled access: open group holds %d, want 1 (a new group)", n)
 	}
@@ -184,7 +185,7 @@ func TestCoalescerConcurrentLookupsAnsweredOnce(t *testing.T) {
 			for i := 0; i < perGoroutine; i++ {
 				k := (g + i) % len(specs)
 				n := tree.FromHeapIndex(int64((g*perGoroutine + i) * 7 % 1023))
-				out, ok := c.enqueue(specs[k], n, nil)
+				out, ok := c.enqueue(specs[k], n, new(obsv.Record))
 				if !ok {
 					errs <- fmt.Errorf("goroutine %d: enqueue refused", g)
 					return
@@ -229,7 +230,7 @@ func TestCoalescerAcquireFailureCountsNoBatch(t *testing.T) {
 	spec := MappingSpec{Alg: "zzz", Levels: 8, Modules: 3} // unknown alg: the build fails
 	outs := make([]<-chan colorResult, 3)
 	for i := range outs {
-		outs[i], _ = c.enqueue(spec, tree.V(int64(i), 3), nil)
+		outs[i], _ = c.enqueue(spec, tree.V(int64(i), 3), new(obsv.Record))
 	}
 	if d, n := p.depth(), openJobs(c, spec); d != 1 || n != len(outs) {
 		t.Fatalf("queue depth %d, open group %d lookups; want 1 group of %d", d, n, len(outs))

@@ -27,7 +27,6 @@ import (
 	ctl "repro/internal/controller"
 	"repro/internal/flightrec"
 	dm "repro/internal/metrics"
-	"repro/internal/obsv"
 	"repro/internal/template"
 )
 
@@ -132,20 +131,16 @@ func (s *Server) sample(spec MappingSpec, in template.Instance) {
 // resolveSpec follows a controller migration for a validated client
 // spec. When the served mapping differs from the requested one the
 // response advertises it, so probes and clients can observe the switch.
-// The requested/effective pair is also stamped onto the request's trace
-// and flight-recorder scratch, so forensics can attribute by the
-// mapping actually served.
-func (s *Server) resolveSpec(w http.ResponseWriter, r *http.Request, spec MappingSpec) MappingSpec {
+// The requested/effective pair is stamped once on the request's record,
+// where the trace and the flight event both read it, so forensics can
+// attribute by the mapping actually served.
+func (s *Server) resolveSpec(w http.ResponseWriter, rec *request, spec MappingSpec) MappingSpec {
 	eff := s.reg.Resolve(spec)
+	rec.requested = spec.Key()
+	rec.trace.Mapping = rec.requested
 	if eff != spec {
-		w.Header().Set(EffectiveMappingHeader, eff.Key())
-	}
-	if tr := obsv.FromContext(r.Context()); tr != nil {
-		tr.SetMapping(eff.Key())
-	}
-	if fs := flightFromContext(r.Context()); fs != nil {
-		fs.requested = spec.Key()
-		fs.effective = eff.Key()
+		rec.trace.Mapping = eff.Key()
+		w.Header().Set(EffectiveMappingHeader, rec.trace.Mapping)
 	}
 	return eff
 }

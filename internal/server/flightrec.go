@@ -7,26 +7,23 @@
 // connection resets) never reach instrument()'s writer; the black box
 // must see the response the client saw, not the one the handlers
 // intended, and a replayable trace must include the requests chaos
-// answered for itself. It reads each POST body once and hands the inner
-// layers an in-memory copy. Identity that only the inner layers know
-// (endpoint name, request ID, requested/effective mapping, per-stage
-// timings) travels outward through a pooled flightScratch carried on
-// the request context: instrument() and resolveSpec() fill it in, and
-// the middleware folds it into the Capture after the handler chain
-// returns.
+// answered for itself. It owns the request's pooled record (request.go)
+// and always wraps the listener. When a sink exists it reads each POST
+// body once and hands the inner layers an in-memory copy. Identity that
+// only the inner layers know (endpoint name, request ID,
+// requested/effective mapping, per-stage timings) is filled into the
+// record by instrument(), resolveSpec() and the pool workers, and the
+// middleware reads it into the Capture after the handler chain returns.
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/flightrec"
@@ -38,61 +35,6 @@ import (
 // matching Metrics.endpoint.
 var flightEndpoints = []string{
 	"color", "template_cost", "simulate", "heap_run", "heap_workload", "range_query",
-}
-
-// flightScratch carries per-request identity from the inner layers
-// (instrument, resolveSpec) out to the capture middleware.
-type flightScratch struct {
-	endpoint  string
-	requestID string
-	requested string
-	effective string
-	traced    bool
-	stages    [obsv.NumStages]int64
-}
-
-type flightCtxKey struct{}
-
-// The writer and scratch are pooled as one unit: the capture layer is
-// always on, so every saved allocation is saved on every request.
-var flightPool = sync.Pool{New: func() any { return new(flightWriter) }}
-
-// flightFromContext returns the request's scratch, or nil outside the
-// capture middleware (bare-Handler tests, replay harnesses).
-func flightFromContext(ctx context.Context) *flightScratch {
-	fs, _ := ctx.Value(flightCtxKey{}).(*flightScratch)
-	return fs
-}
-
-// flightWriter records the status actually sent to the client and
-// carries the request's scratch. It forwards Flush so the chaos
-// injector's drip mode still streams through the wrapper.
-type flightWriter struct {
-	http.ResponseWriter
-	status int
-	fs     flightScratch
-}
-
-func (w *flightWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *flightWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// hijackableFlightWriter is handed out when the underlying writer
-// supports hijacking, so the chaos injector's connection-reset mode
-// still reaches the TCP connection through the wrapper. A hijacked
-// request has no HTTP status on the wire; the event records 0.
-type hijackableFlightWriter struct{ *flightWriter }
-
-func (w hijackableFlightWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	w.flightWriter.status = 0
-	return w.ResponseWriter.(http.Hijacker).Hijack()
 }
 
 var pathCleaner = strings.NewReplacer("/", "_", "-", "_")
@@ -117,63 +59,75 @@ func endpointForPath(path string) string {
 	return pathCleaner.Replace(strings.TrimPrefix(path, "/v1/"))
 }
 
-// captureMiddleware is the outermost capture layer: one Capture per
-// served /v1 request, whatever layer answered it.
+// captureMiddleware is the outermost layer. It owns each /v1 request's
+// record and, when a sink (flight recorder or tape) exists, records one
+// Capture per served /v1 request, whatever layer answered it.
 func (s *Server) captureMiddleware(next http.Handler) http.Handler {
+	sink := s.fr != nil || s.cfg.Tape != nil
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/") {
 			next.ServeHTTP(w, r)
 			return
 		}
-		start := time.Now()
-		c := flightrec.Capture{Seq: s.arrivals.Add(1)}
-		if r.Method == http.MethodPost && r.Body != nil {
-			if body, ok := captureBody(r, s.cfg.MaxBodyBytes); ok {
-				c.Req = replay.Record{Path: r.URL.Path, Tenant: r.Header.Get(TenantHeader), Body: body}
-				s.cfg.Tape.Append(c.Req)
-			} else {
-				s.cfg.Tape.Drop()
-			}
-		}
-		fw := flightPool.Get().(*flightWriter)
-		*fw = flightWriter{ResponseWriter: w, status: http.StatusOK}
-		fs := &fw.fs
-		var outer http.ResponseWriter = fw
+		rec := requestPool.Get().(*request)
+		rec.outer = statusWriter{ResponseWriter: w, status: http.StatusOK}
+		var outer http.ResponseWriter = &rec.outer
 		if _, ok := w.(http.Hijacker); ok {
-			outer = hijackableFlightWriter{fw}
+			outer = hijackWriter{&rec.outer}
 		}
-		next.ServeHTTP(outer, r.WithContext(context.WithValue(r.Context(), flightCtxKey{}, fs)))
-
-		c.Event = flightrec.Event{
-			TS:        s.cfg.flightNow().UnixMicro(),
-			RequestID: fs.requestID,
-			Tenant:    sanitizeTenant(r.Header.Get(TenantHeader)),
-			Endpoint:  fs.endpoint,
-			Requested: fs.requested,
-			Effective: fs.effective,
-			Status:    fw.status,
-			TotalUS:   time.Since(start).Microseconds(),
-			StagesUS:  fs.stages,
+		r = r.WithContext(context.WithValue(r.Context(), requestKey{}, rec))
+		if sink {
+			s.serveCaptured(next, outer, r, rec)
+		} else {
+			next.ServeHTTP(outer, r)
 		}
-		ev := &c.Event
-		if ev.RequestID == "" {
-			ev.RequestID = r.Header.Get(obsv.HeaderRequestID)
-		}
-		if ev.Endpoint == "" {
-			// The handler chain never ran (chaos short-circuit, 404):
-			// attribute by path.
-			ev.Endpoint = endpointForPath(r.URL.Path)
-		}
-		ev.Conflicts, ev.BoundChecks, ev.BoundViolations = s.dom.Counters()
-		fw.ResponseWriter = nil
-		flightPool.Put(fw)
-		s.fr.Record(c)
-		if s.logger.Enabled(r.Context(), slog.LevelDebug) {
-			s.logger.Debug("request",
-				"request_id", ev.RequestID, "tenant", ev.Tenant, "endpoint", ev.Endpoint,
-				"mapping", ev.Effective, "status", ev.Status, "total_us", ev.TotalUS)
-		}
+		putRequest(rec)
 	})
+}
+
+// serveCaptured serves r through next and records its Capture: the body
+// as received, then the record's identity, status and stage times once
+// the handler chain returns.
+func (s *Server) serveCaptured(next http.Handler, w http.ResponseWriter, r *http.Request, rec *request) {
+	start := time.Now()
+	c := flightrec.Capture{Seq: s.arrivals.Add(1)}
+	if r.Method == http.MethodPost && r.Body != nil {
+		if body, ok := captureBody(r, s.cfg.MaxBodyBytes); ok {
+			c.Req = replay.Record{Path: r.URL.Path, Tenant: r.Header.Get(TenantHeader), Body: body}
+			s.cfg.Tape.Append(c.Req)
+		} else {
+			s.cfg.Tape.Drop()
+		}
+	}
+	next.ServeHTTP(w, r)
+
+	tr := &rec.trace
+	c.Event = flightrec.Event{
+		TS:        s.cfg.flightNow().UnixMicro(),
+		RequestID: tr.ID,
+		Tenant:    tr.Tenant,
+		Endpoint:  tr.Endpoint,
+		Requested: rec.requested,
+		Effective: tr.Mapping,
+		Status:    rec.outer.status,
+		TotalUS:   time.Since(start).Microseconds(),
+		StagesUS:  tr.StagesUS(),
+	}
+	ev := &c.Event
+	if ev.Endpoint == "" {
+		// The handler chain never ran (chaos short-circuit, 404):
+		// attribute by path and headers.
+		ev.Endpoint = endpointForPath(r.URL.Path)
+		ev.RequestID = r.Header.Get(obsv.HeaderRequestID)
+		ev.Tenant = sanitizeTenant(r.Header.Get(TenantHeader))
+	}
+	ev.Conflicts, ev.BoundChecks, ev.BoundViolations = s.dom.Counters()
+	s.fr.Record(c)
+	if s.logger.Enabled(r.Context(), slog.LevelDebug) {
+		s.logger.Debug("request",
+			"request_id", ev.RequestID, "tenant", ev.Tenant, "endpoint", ev.Endpoint,
+			"mapping", ev.Effective, "status", ev.Status, "total_us", ev.TotalUS)
+	}
 }
 
 // capturedBody replays a captured body to the handler: one allocation
@@ -271,9 +225,6 @@ func (s *Server) handleFlightSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
 	_, _ = w.Write(data)
 }
-
-// FlightRecorder exposes the flight recorder (nil when disabled).
-func (s *Server) FlightRecorder() *flightrec.Recorder { return s.fr }
 
 // FlightTick runs one watchdog pass at the given instant and returns
 // the rules that newly breached. Deterministic-clock tests and the

@@ -300,7 +300,7 @@ func TestFlightRecDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if srv.FlightRecorder() != nil {
+	if srv.fr != nil {
 		t.Fatal("DisableFlightRec left a live recorder")
 	}
 	spec := MappingSpec{Alg: "color", Levels: 10, M: 4}
@@ -346,7 +346,7 @@ func TestTapeRecordsWithFlightRecOff(t *testing.T) {
 		ts.Close()
 		shutdownServer(t, srv)
 	}()
-	if srv.FlightRecorder() != nil {
+	if srv.fr != nil {
 		t.Fatal("DisableFlightRec left a live recorder")
 	}
 	for _, path := range []string{"/healthz", "/v1/color"} {
@@ -406,7 +406,7 @@ func TestCaptureOversizedBody(t *testing.T) {
 			t.Fatalf("%d-byte body: status %d, want %d", len(body), rr.Code, want)
 		}
 	}
-	inc := srv.FlightRecorder().Freeze(time.Now(), "manual", nil)
+	inc := srv.fr.Freeze(time.Now(), "manual", nil)
 	if len(inc.Events) != 2 || inc.Events[1].Status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("journal %+v, want both requests with the oversized one answered 413", inc.Events)
 	}
@@ -449,7 +449,7 @@ func TestCaptureRingHammer(t *testing.T) {
 				return
 			default:
 			}
-			inc := srv.FlightRecorder().Freeze(time.Now(), "manual", nil)
+			inc := srv.fr.Freeze(time.Now(), "manual", nil)
 			if len(inc.Trace.Records) != len(inc.Events) {
 				t.Errorf("frozen window has %d records for %d events", len(inc.Trace.Records), len(inc.Events))
 				return
@@ -473,8 +473,8 @@ func TestCaptureRingHammer(t *testing.T) {
 	<-frozen
 
 	const offered = writers * perWriter
-	c := srv.FlightRecorder().Counters()
-	live := len(srv.FlightRecorder().EventsSnapshot())
+	c := srv.fr.Counters()
+	live := len(srv.fr.EventsSnapshot())
 	if c.Events != offered || c.EventsEvicted+int64(live) != offered {
 		t.Fatalf("events %d, evicted %d + live %d, want %d offered", c.Events, c.EventsEvicted, live, offered)
 	}

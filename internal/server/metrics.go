@@ -14,10 +14,6 @@ import (
 	"repro/internal/pms"
 )
 
-// The disk tier's load histogram must share obsv.Histogram's geometry
-// for its buckets to translate label-for-label.
-var _ = [1]struct{}{}[obsv.NumBuckets-mapstore.LoadBuckets]
-
 // endpointMetrics tracks one API endpoint.
 type endpointMetrics struct {
 	requests  atomic.Int64

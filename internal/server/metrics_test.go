@@ -3,6 +3,8 @@ package server
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obsv"
 )
 
 // TestCoalescerOverloadRecordsRejection fills the worker pool queue and
@@ -37,7 +39,7 @@ func TestCoalescerOverloadRecordsRejection(t *testing.T) {
 	// A new group is queued as soon as it opens, so enqueue hits the
 	// full queue.
 	c := newCoalescer(1, p, reg, met)
-	out, ok := c.enqueue(modSpec(8, 3), NodeRef{Index: 0, Level: 0}.Node(), nil)
+	out, ok := c.enqueue(modSpec(8, 3), NodeRef{Index: 0, Level: 0}.Node(), new(obsv.Record))
 	if !ok {
 		t.Fatal("enqueue refused before shutdown")
 	}

@@ -48,6 +48,25 @@ func assertRegistryAccounting(t *testing.T, srv *Server) {
 	}
 }
 
+// residentEntries counts the registry's cached entries across shards.
+func residentEntries(reg *Registry) int {
+	n := 0
+	for i := range reg.shards {
+		sh := &reg.shards[i]
+		sh.mu.Lock()
+		n += len(sh.items)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// overrideCount is the size of the registry's redirect table.
+func overrideCount(reg *Registry) int {
+	reg.ovMu.RLock()
+	defer reg.ovMu.RUnlock()
+	return len(reg.overrides)
+}
+
 // TestMigrateByteAccounting walks one entry through migrate, re-migrate
 // and migrate-back, asserting after every step that the retired artifact
 // is uncharged exactly once and the redirect resolves to the new spec.
@@ -69,8 +88,8 @@ func TestMigrateByteAccounting(t *testing.T) {
 	if got := srv.reg.Resolve(a); got != b {
 		t.Errorf("Resolve(%s) = %s, want %s", a.Key(), got.Key(), b.Key())
 	}
-	if srv.reg.Len() != 1 {
-		t.Errorf("%d resident entries after A→B, want 1 (A retired)", srv.reg.Len())
+	if residentEntries(srv.reg) != 1 {
+		t.Errorf("%d resident entries after A→B, want 1 (A retired)", residentEntries(srv.reg))
 	}
 	assertRegistryAccounting(t, srv)
 
@@ -83,8 +102,8 @@ func TestMigrateByteAccounting(t *testing.T) {
 	if got := srv.reg.Resolve(a); got != c {
 		t.Errorf("Resolve(%s) = %s, want %s", a.Key(), got.Key(), c.Key())
 	}
-	if srv.reg.Len() != 1 {
-		t.Errorf("%d resident entries after A→C, want 1 (B retired, no leak)", srv.reg.Len())
+	if residentEntries(srv.reg) != 1 {
+		t.Errorf("%d resident entries after A→C, want 1 (B retired, no leak)", residentEntries(srv.reg))
 	}
 	assertRegistryAccounting(t, srv)
 
@@ -95,7 +114,7 @@ func TestMigrateByteAccounting(t *testing.T) {
 	if got := srv.reg.Resolve(a); got != a {
 		t.Errorf("Resolve(%s) = %s after migrate-back, want itself", a.Key(), got.Key())
 	}
-	if n := len(srv.reg.Overrides()); n != 0 {
+	if n := overrideCount(srv.reg); n != 0 {
 		t.Errorf("%d overrides after migrate-back, want 0", n)
 	}
 	assertRegistryAccounting(t, srv)
@@ -115,11 +134,11 @@ func TestMigrateAlreadyResidentTarget(t *testing.T) {
 	if _, err := srv.reg.Acquire(b); err != nil {
 		t.Fatal(err)
 	}
-	before := srv.reg.Len()
+	before := residentEntries(srv.reg)
 	if _, err := srv.reg.Migrate(a.Key(), b, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.reg.Len(); got != before-1 {
+	if got := residentEntries(srv.reg); got != before-1 {
 		t.Errorf("%d resident entries, want %d (A retired, B kept once)", got, before-1)
 	}
 	assertRegistryAccounting(t, srv)
@@ -188,7 +207,7 @@ func TestRegistryMigrationRaceHammer(t *testing.T) {
 	migrator.Wait()
 
 	assertRegistryAccounting(t, srv)
-	if n := len(srv.reg.Overrides()); n > 1 {
+	if n := overrideCount(srv.reg); n > 1 {
 		t.Errorf("%d overrides for one migrated key", n)
 	}
 

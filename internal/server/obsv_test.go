@@ -4,12 +4,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/flightrec"
 	"repro/internal/obsv"
 )
 
@@ -171,5 +173,107 @@ func TestTraceSampling(t *testing.T) {
 	}
 	if snap.Started != 40 {
 		t.Errorf("requests_seen = %d, want 40", snap.Started)
+	}
+}
+
+// TestFlightEventJoinsTrace pins the join between a request's flight
+// event and its trace, which both come from one record: a traced
+// request's event carries the per-stage sums of the trace's spans and
+// the trace's identity, and an unsampled request's event carries zero
+// stages. At sample rate 0.5 the counter traces every second request,
+// so each path (coalesced singleton, explicit batch) runs once
+// unsampled, then once traced.
+func TestFlightEventJoinsTrace(t *testing.T) {
+	srv := New(Config{TraceSampleRate: 0.5, flightManual: true})
+	defer shutdownServer(t, srv)
+	ts := httptest.NewServer(srv.httpSrv.Handler)
+	defer ts.Close()
+
+	spec := modSpec(10, 7)
+	bodies := []ColorRequest{
+		{Mapping: spec, Node: &NodeRef{Index: 3, Level: 2}},
+		{Mapping: spec, Node: &NodeRef{Index: 3, Level: 2}},
+		{Mapping: spec, Nodes: []NodeRef{{0, 0}, {1, 1}, {5, 3}}},
+		{Mapping: spec, Nodes: []NodeRef{{0, 0}, {1, 1}, {5, 3}}},
+	}
+	for i, body := range bodies {
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/color", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(TenantHeader, "t-join")
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+
+	events := srv.fr.EventsSnapshot()
+	if len(events) != len(bodies) {
+		t.Fatalf("%d flight events, want %d", len(events), len(bodies))
+	}
+	traces := map[string]obsv.TraceSnapshot{}
+	for _, tr := range srv.trc.Snapshot().Slowest {
+		traces[tr.ID] = tr
+	}
+	if len(traces) != 2 {
+		t.Fatalf("%d traces, want 2 (every second request)", len(traces))
+	}
+	for i, ev := range events {
+		if ev.RequestID == "" || ev.Tenant != "t-join" || ev.Requested != spec.Key() || ev.Effective != spec.Key() {
+			t.Errorf("event %d identity = %+v", i, ev)
+		}
+		tr, traced := traces[ev.RequestID]
+		if traced != (i%2 == 1) {
+			t.Fatalf("event %d (%s): traced = %v, want every second request traced", i, ev.RequestID, traced)
+		}
+		if !traced {
+			if ev.StagesUS != ([obsv.NumStages]int64{}) {
+				t.Errorf("unsampled event %d carries stages %v, want zeroes", i, ev.StagesUS)
+			}
+			continue
+		}
+		checkEventJoinsTrace(t, ev, tr)
+	}
+}
+
+// checkEventJoinsTrace compares one flight event with its trace.
+func checkEventJoinsTrace(t *testing.T, ev flightrec.Event, tr obsv.TraceSnapshot) {
+	t.Helper()
+	if ev.Tenant != tr.Tenant || ev.Effective != tr.Mapping {
+		t.Errorf("event %s: tenant %q mapping %q, trace has tenant %q mapping %q",
+			ev.RequestID, ev.Tenant, ev.Effective, tr.Tenant, tr.Mapping)
+	}
+	var sums [obsv.NumStages]int64
+	for _, sp := range tr.Spans {
+		found := false
+		for s := obsv.Stage(0); int(s) < obsv.NumStages; s++ {
+			if s.String() == sp.Stage {
+				sums[s] += sp.DurUS
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("trace %s: span of unknown stage %q", tr.ID, sp.Stage)
+		}
+	}
+	if ev.StagesUS != sums {
+		t.Errorf("event %s stages_us %v, trace spans sum to %v", ev.RequestID, ev.StagesUS, sums)
+	}
+	if ev.StagesUS[obsv.StageTotal] != 0 {
+		t.Errorf("event %s stages_us[total] = %d, want 0", ev.RequestID, ev.StagesUS[obsv.StageTotal])
+	}
+	if len(tr.Spans) < 4 {
+		t.Errorf("trace %s carries %d spans, want admission, registry, compute and write: %+v",
+			tr.ID, len(tr.Spans), tr.Spans)
 	}
 }

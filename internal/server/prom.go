@@ -32,14 +32,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	dm.WriteDomain(e, promPrefix, s.dom)
 }
 
-// writeHistogram renders a serving histogram as a cumulative Prometheus
-// histogram; like every snapshot in this package, cross-bucket skew
-// under concurrent writes is acceptable.
-func writeHistogram(e *dm.Expo, name string, labels []dm.Label, h *obsv.Histogram) {
-	count, sum, buckets := h.Load()
-	e.HistogramData(name, labels, count, sum, buckets)
-}
-
 func writeServerMetrics(e *dm.Expo, m *Metrics) {
 	endpoints := []struct {
 		name string
@@ -62,7 +54,7 @@ func writeServerMetrics(e *dm.Expo, m *Metrics) {
 		e.Counter(promPrefix+"_endpoint_errors_5xx_total", []dm.Label{{Name: "endpoint", Value: ep.name}}, ep.em.errors5xx.Load())
 	}
 	for _, ep := range endpoints {
-		writeHistogram(e, promPrefix+"_endpoint_latency_us", []dm.Label{{Name: "endpoint", Value: ep.name}}, &ep.em.latencyUS)
+		e.Histogram(promPrefix+"_endpoint_latency_us", []dm.Label{{Name: "endpoint", Value: ep.name}}, &ep.em.latencyUS)
 	}
 
 	// Per-tenant admission series, sorted by tenant name. The table is
@@ -91,10 +83,10 @@ func writeServerMetrics(e *dm.Expo, m *Metrics) {
 	e.Counter(promPrefix+"_batches_flushed_total", nil, m.batchesFlushed.Load())
 	e.Counter(promPrefix+"_batches_rejected_total", nil, m.batchesRejected.Load())
 	e.Counter(promPrefix+"_coalesced_jobs_total", nil, m.coalescedJobs.Load())
-	writeHistogram(e, promPrefix+"_batch_size", nil, &m.batchSize)
+	e.Histogram(promPrefix+"_batch_size", nil, &m.batchSize)
 	e.Counter(promPrefix+"_kernel_batches_total", nil, m.kernelBatches.Load())
 	e.Counter(promPrefix+"_fallback_batches_total", nil, m.fallbackBatches.Load())
-	writeHistogram(e, promPrefix+"_batch_compute_ns", nil, &m.batchComputeNS)
+	e.Histogram(promPrefix+"_batch_compute_ns", nil, &m.batchComputeNS)
 
 	e.Counter(promPrefix+"_registry_hits_total", nil, m.registryHits.Load())
 	e.Counter(promPrefix+"_registry_misses_total", nil, m.registryMisses.Load())
@@ -162,8 +154,11 @@ func writeServerMetrics(e *dm.Expo, m *Metrics) {
 	// Disk-tier series are written unconditionally (zeros when pmsd runs
 	// memory-only) so dashboards keep a stable shape across deployments.
 	var st mapstore.Stats
+	var noLoads obsv.Histogram
+	loadNS := &noLoads
 	if m.store != nil {
 		st = m.store.Stats()
+		loadNS = m.store.LoadNS()
 	}
 	e.Counter(promPrefix+"_store_hits_total", nil, st.Hits)
 	e.Counter(promPrefix+"_store_misses_total", nil, st.Misses)
@@ -173,7 +168,7 @@ func writeServerMetrics(e *dm.Expo, m *Metrics) {
 	e.Counter(promPrefix+"_store_evictions_total", nil, st.Evictions)
 	e.GaugeInt(promPrefix+"_store_bytes", nil, st.Bytes)
 	e.GaugeInt(promPrefix+"_store_entries", nil, st.Entries)
-	e.HistogramData(promPrefix+"_store_load_ns", nil, st.LoadNSCount, st.LoadNSSum, st.LoadNSBuckets)
+	e.Histogram(promPrefix+"_store_load_ns", nil, loadNS)
 
 	e.Counter(promPrefix+"_sim_batches_total", nil, m.simBatches.Load())
 	e.Counter(promPrefix+"_sim_requests_total", nil, m.simRequests.Load())

@@ -68,9 +68,10 @@ func populateDeterministic(s *Server) {
 	// One sampled trace with caller-supplied span durations; Finish is
 	// not called (it would record a wall-clock total stage).
 	base := time.Unix(1700000000, 0)
-	tr := s.trc.Start("req-1", "color")
-	tr.RecordSpan(obsv.StageAdmissionWait, base, 40*time.Microsecond)
-	tr.RecordSpan(obsv.StageBatchCompute, base, 250*time.Microsecond)
+	tr := obsv.Record{ID: "req-1", Endpoint: "color"}
+	s.trc.Sample(&tr, base)
+	tr.Span(obsv.StageAdmissionWait, base, 40*time.Microsecond)
+	tr.Span(obsv.StageBatchCompute, base, 250*time.Microsecond)
 
 	d := s.dom
 	rec := d.Recorder()

@@ -285,17 +285,6 @@ func (e *regEntry) done() bool {
 	}
 }
 
-// Len returns the number of cached entries across all shards.
-func (r *Registry) Len() int {
-	var total int
-	for i := range r.shards {
-		r.shards[i].mu.Lock()
-		total += len(r.shards[i].items)
-		r.shards[i].mu.Unlock()
-	}
-	return total
-}
-
 // Resolve maps a validated client spec to the spec actually served,
 // following a controller-installed redirect when one exists. A spec
 // without a redirect resolves to itself.
@@ -320,18 +309,6 @@ func (r *Registry) SetOverride(fromKey string, to MappingSpec) {
 		r.overrides[fromKey] = to
 	}
 	r.ovMu.Unlock()
-}
-
-// Overrides returns the current redirect table as requested-key →
-// effective-key pairs (tests read it).
-func (r *Registry) Overrides() map[string]string {
-	r.ovMu.RLock()
-	out := make(map[string]string, len(r.overrides))
-	for k, v := range r.overrides {
-		out[k] = v.Key()
-	}
-	r.ovMu.RUnlock()
-	return out
 }
 
 // Migrate retires the entry under fromKey and admits the mapping for

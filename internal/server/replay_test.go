@@ -135,7 +135,7 @@ func TestMixedRecordReplayDeterminism(t *testing.T) {
 	if live.Requests == 0 {
 		t.Fatalf("recording run served nothing: %+v", live)
 	}
-	if ev := srv.FlightRecorder().Counters().Events; ev < live.Requests {
+	if ev := srv.fr.Counters().Events; ev < live.Requests {
 		t.Errorf("flight events %d for %d served requests", ev, live.Requests)
 	}
 	if _, _, v := srv.dom.Counters(); v != 0 {

@@ -17,11 +17,13 @@
 //   - /metrics exposes request counts, latency and batch-size
 //     histograms, queue depth, cache counters and the theorem-bound
 //     monitor in Prometheus text format; /debug/pprof is wired;
-//   - sampled requests carry an obsv trace with per-stage child spans
-//     (admission wait, coalesce wait, registry hit/materialize, batch
-//     compute, response write); /debug/requests serves the per-stage
-//     histograms and the slowest complete traces, and worker tasks run
-//     under pprof labels keyed by mapping spec.
+//   - each /v1 request fills one pooled record (request.go) that every
+//     layer writes in place; on sampled requests its obsv trace part
+//     holds per-stage spans (admission wait, coalesce wait, registry
+//     hit/materialize, batch compute, response write), and the same
+//     record becomes the request's flight event; /debug/requests serves
+//     the per-stage histograms and the slowest complete traces, and
+//     worker tasks run under pprof labels keyed by mapping spec.
 //
 // Endpoints: POST /v1/color, POST /v1/template-cost, POST /v1/simulate,
 // POST /v1/heap/run, POST /v1/heap/workload, POST /v1/range,
@@ -319,10 +321,9 @@ func New(cfg Config) *Server {
 	}
 	// Capture wraps OUTERMOST — outside the chaos middleware — so flight
 	// events record the response the client saw and the replayable trace
-	// includes requests chaos answered for itself.
-	if s.fr != nil || cfg.Tape != nil {
-		h = s.captureMiddleware(h)
-	}
+	// includes requests chaos answered for itself. It owns each /v1
+	// request's record, so it wraps the listener with or without a sink.
+	h = s.captureMiddleware(h)
 	s.httpSrv = &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
@@ -332,12 +333,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Tracer exposes the request tracer (benchmarks and tests read it).
-func (s *Server) Tracer() *obsv.Tracer { return s.trc }
-
-// Domain exposes the domain-metrics accounting (nil when disabled).
-func (s *Server) Domain() *dm.Domain { return s.dom }
 
 // Handler returns the full route mux, usable without a listener.
 func (s *Server) Handler() http.Handler {
@@ -442,82 +437,43 @@ func (s *Server) WarmStart(n int) int {
 	return admitted
 }
 
-// statusWriter records the status for per-endpoint error accounting and,
-// on traced requests, the time spent writing the response.
-type statusWriter struct {
-	http.ResponseWriter
-	status     int
-	traced     bool
-	writeStart time.Time     // first WriteHeader/Write call
-	writeDur   time.Duration // cumulative time inside the underlying writer
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	if !w.traced {
-		w.ResponseWriter.WriteHeader(code)
-		return
-	}
-	t0 := time.Now()
-	if w.writeStart.IsZero() {
-		w.writeStart = t0
-	}
-	w.ResponseWriter.WriteHeader(code)
-	w.writeDur += time.Since(t0)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if !w.traced {
-		return w.ResponseWriter.Write(p)
-	}
-	t0 := time.Now()
-	if w.writeStart.IsZero() {
-		w.writeStart = t0
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.writeDur += time.Since(t0)
-	return n, err
-}
-
 // instrument wraps an endpoint with request/latency/error accounting and
-// the obsv trace lifecycle: the request ID comes from the client's
-// X-Request-Id (generated server-side when absent) and is echoed back,
-// client attempt metadata is joined onto the trace, and the trace
-// finishes with the response status once the handler returns.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+// the trace lifecycle of the request's record: the request ID comes from
+// the client's X-Request-Id (generated server-side when absent and
+// tracing is on) and is echoed back, client attempt metadata is joined
+// onto a traced record, and the trace finishes with the response status
+// once the handler returns. The record comes from the capture
+// middleware; under a bare Handler, instrument takes one itself.
+func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Request, *request)) http.HandlerFunc {
 	em := s.met.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		var tr *obsv.Trace
-		id := r.Header.Get(obsv.HeaderRequestID)
-		if s.trc.Enabled() {
-			if id == "" {
-				id = obsv.NewRequestID()
-			}
-			tr = s.trc.Start(id, name)
+		rec, captured := r.Context().Value(requestKey{}).(*request)
+		if !captured {
+			rec = requestPool.Get().(*request)
 		}
-		if id != "" {
-			w.Header().Set(obsv.HeaderRequestID, id)
+		tr := &rec.trace
+		tr.ID = r.Header.Get(obsv.HeaderRequestID)
+		if tr.ID == "" && s.trc.Enabled() {
+			tr.ID = obsv.NewRequestID()
 		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, traced: tr != nil}
-		if tr != nil {
-			tr.SetClient(clientInfoFromHeaders(r.Header))
-			tr.SetTenant(sanitizeTenant(r.Header.Get(TenantHeader)))
-			r = r.WithContext(obsv.WithTrace(r.Context(), tr))
+		if tr.ID != "" {
+			w.Header().Set(obsv.HeaderRequestID, tr.ID)
 		}
-		h(sw, r)
-		if tr != nil {
-			tr.RecordSpan(obsv.StageResponseWrite, sw.writeStart, sw.writeDur)
-			tr.Finish(sw.status)
+		tr.Endpoint = name
+		tr.Tenant = sanitizeTenant(r.Header.Get(TenantHeader))
+		s.trc.Sample(tr, start)
+		if tr.Traced() {
+			tr.Client = clientInfoFromHeaders(r.Header)
 		}
+		sw := &rec.inner
+		*sw = statusWriter{ResponseWriter: w, status: http.StatusOK, timed: tr.Traced()}
+		h(sw, r, rec)
+		tr.Span(obsv.StageResponseWrite, sw.writeStart, sw.writeDur)
+		tr.Finish(sw.status)
 		em.observe(sw.status, time.Since(start))
-		if fs := flightFromContext(r.Context()); fs != nil {
-			fs.endpoint = name
-			fs.requestID = id
-			if tr != nil {
-				fs.traced = true
-				fs.stages = tr.StageTotalsUS()
-			}
+		if !captured {
+			putRequest(rec)
 		}
 	}
 }
@@ -563,19 +519,18 @@ func (s *Server) admit(r *http.Request) (release func(), err *apiError) {
 // admission limit); the fallback exists for defense in depth. The task
 // runs under a pprof label carrying the mapping key (CPU profiles
 // segment by spec) and, when traced, records the queueing delay as an
-// admission_wait span.
-func (s *Server) runTask(tr *obsv.Trace, spec MappingSpec, fn func()) *apiError {
+// admission_wait span. Closing done orders every span the task records
+// before runTask returns (see request).
+func (s *Server) runTask(tr *obsv.Record, spec MappingSpec, fn func()) *apiError {
 	var submitted time.Time
-	if tr != nil {
+	if tr.Traced() {
 		submitted = time.Now()
 	}
 	done := make(chan struct{})
 	task := func() {
 		defer close(done)
 		s.pool.access()
-		if tr != nil {
-			tr.RecordSpan(obsv.StageAdmissionWait, submitted, time.Since(submitted))
-		}
+		tr.SpanSince(obsv.StageAdmissionWait, submitted)
 		rpprof.Do(context.Background(), rpprof.Labels("mapping", spec.Key()), func(context.Context) { fn() })
 	}
 	if !s.pool.trySubmit(task) {
@@ -588,8 +543,8 @@ func (s *Server) runTask(tr *obsv.Trace, spec MappingSpec, fn func()) *apiError 
 
 // acquireTraced resolves the mapping through the registry, recording the
 // acquire as a cache-hit or materialize span on the trace.
-func (s *Server) acquireTraced(spec MappingSpec, tr *obsv.Trace) (coloring.Mapping, error) {
-	if tr == nil {
+func (s *Server) acquireTraced(spec MappingSpec, tr *obsv.Record) (coloring.Mapping, error) {
+	if !tr.Traced() {
 		return s.reg.Acquire(spec)
 	}
 	start := time.Now()
@@ -598,7 +553,7 @@ func (s *Server) acquireTraced(spec MappingSpec, tr *obsv.Trace) (coloring.Mappi
 	if hit {
 		stage = obsv.StageRegistryHit
 	}
-	tr.RecordSpan(stage, start, time.Since(start))
+	tr.SpanSince(stage, start)
 	return m, err
 }
 
@@ -612,7 +567,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // handleColor serves node→module retrieval. Singletons go through the
 // coalescer; explicit batches run as one worker task.
-func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleColor(w http.ResponseWriter, r *http.Request, rec *request) {
 	var req ColorRequest
 	if aerr := decodeColorRequest(w, r, s.cfg.MaxBodyBytes, &req); aerr != nil {
 		writeError(w, aerr)
@@ -645,7 +600,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	}
 	// Serve through the controller's effective mapping (candidates keep
 	// the requested Levels, so node validation above still applies).
-	spec := s.resolveSpec(w, r, req.Mapping)
+	spec := s.resolveSpec(w, rec, req.Mapping)
 
 	release, aerr := s.admit(r)
 	if aerr != nil {
@@ -653,7 +608,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	tr := obsv.FromContext(r.Context())
+	tr := &rec.trace
 
 	if req.Node != nil {
 		out, ok := s.coal.enqueue(spec, req.Node.Node(), tr)
@@ -685,7 +640,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 		resp.Modules = m.Modules()
 		resp.Colors = make([]int, len(nodes))
 		computeStart, computeDur := s.coal.colorBatch(m, resp.Colors, batch)
-		tr.RecordSpan(obsv.StageBatchCompute, computeStart, computeDur)
+		tr.Span(obsv.StageBatchCompute, computeStart, computeDur)
 	}); aerr != nil {
 		writeError(w, aerr)
 		return
@@ -717,7 +672,7 @@ func writeResultError(w http.ResponseWriter, err error) {
 
 // handleTemplateCost serves conflict counts for elementary instances,
 // composite C(D,c) instances, and whole-family worst cases.
-func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec *request) {
 	var req TemplateCostRequest
 	if aerr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); aerr != nil {
 		writeError(w, aerr)
@@ -731,8 +686,8 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request) {
 	// Observations are attributed to the *requested* key — the stable
 	// policy identity across migrations — while the served mapping and
 	// its theorem bounds come from the effective spec.
-	reqKey := req.Mapping.Key()
-	spec := s.resolveSpec(w, r, req.Mapping)
+	spec := s.resolveSpec(w, rec, req.Mapping)
+	reqKey := rec.requested
 
 	// Pre-validate per mode, before taking a queue slot.
 	var mode func(m coloring.Mapping) (TemplateCostResponse, error)
@@ -853,7 +808,7 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	tr := obsv.FromContext(r.Context())
+	tr := &rec.trace
 	var resp TemplateCostResponse
 	var taskErr error
 	if aerr := s.runTask(tr, spec, func() {
@@ -862,9 +817,9 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request) {
 			taskErr = err
 			return
 		}
-		endCompute := tr.StartSpan(obsv.StageBatchCompute)
+		computeStart := time.Now()
 		resp, taskErr = mode(m)
-		endCompute()
+		tr.SpanSince(obsv.StageBatchCompute, computeStart)
 	}); aerr != nil {
 		writeError(w, aerr)
 		return
@@ -877,7 +832,7 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSimulate replays a bounded trace through pms.SubmitDrain.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, rec *request) {
 	var req SimulateRequest
 	if aerr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); aerr != nil {
 		writeError(w, aerr)
@@ -895,7 +850,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("%d batches above limit %d", len(req.Batches), s.cfg.MaxSimBatches))
 		return
 	}
-	spec := s.resolveSpec(w, r, req.Mapping)
+	spec := s.resolveSpec(w, rec, req.Mapping)
 	t := tree.New(req.Mapping.Levels)
 	items := 0
 	for _, batch := range req.Batches {
@@ -919,7 +874,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	tr := obsv.FromContext(r.Context())
+	tr := &rec.trace
 	var resp SimulateResponse
 	var taskErr error
 	if aerr := s.runTask(tr, spec, func() {
@@ -928,8 +883,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			taskErr = err
 			return
 		}
-		endCompute := tr.StartSpan(obsv.StageBatchCompute)
-		defer endCompute()
+		defer tr.SpanSince(obsv.StageBatchCompute, time.Now())
 		sys := pms.NewSystem(m)
 		sys.SetAccounting(s.dom.Recorder())
 		batch := make([]tree.Node, 0, 64)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/coloring"
 	"repro/internal/mapstore"
+	dm "repro/internal/metrics"
 	"repro/internal/testutil"
 	"repro/internal/tree"
 )
@@ -246,5 +247,65 @@ func TestWarmStartServesWithoutMaterializing(t *testing.T) {
 	ts2.Close()
 	if err := srv2.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown 2: %v", err)
+	}
+}
+
+// TestStoreLoadHistogramOnMetrics scrapes the populated disk-load
+// histogram, which pmsbench's mapstore.load_us reads: after N disk
+// loads, pmsd_store_load_ns counts N and its +Inf bucket holds all N.
+func TestStoreLoadHistogramOnMetrics(t *testing.T) {
+	dir := t.TempDir()
+	specs := []MappingSpec{
+		randomSpec(10, 7, 1),
+		randomSpec(10, 7, 2),
+		{Alg: "color", Levels: 12, M: 3},
+	}
+
+	// Materialize through a registry and flush to disk.
+	store := openStore(t, dir)
+	reg := NewRegistry(256<<20, &Metrics{})
+	reg.AttachStore(store)
+	for _, sp := range specs {
+		if _, err := reg.Acquire(sp); err != nil {
+			t.Fatalf("Acquire(%s): %v", sp.Key(), err)
+		}
+	}
+	if flushed := reg.FlushToStore(); flushed != len(specs) {
+		t.Fatalf("FlushToStore = %d, want %d", flushed, len(specs))
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+
+	// A server over the same directory loads each spec from disk on its
+	// first request.
+	srv := New(Config{Store: openStore(t, dir)})
+	ts := httptest.NewServer(srv.Handler())
+	for _, sp := range specs {
+		if status := post(t, ts.Client(), ts.URL+"/v1/color", ColorRequest{
+			Mapping: sp, Node: &NodeRef{Index: 0, Level: 0},
+		}, nil); status != 200 {
+			t.Fatalf("spec %s: status %d", sp.Key(), status)
+		}
+	}
+	ts.Close()
+	if got := srv.met.registryAcquireDiskHits.Load(); got != int64(len(specs)) {
+		t.Fatalf("disk hits = %d, want %d", got, len(specs))
+	}
+	_, sc := scrapeMetrics(t, srv.Handler())
+	want := float64(len(specs))
+	if v, ok := sc.Value("pmsd_store_load_ns_count"); !ok || v != want {
+		t.Errorf("pmsd_store_load_ns_count = %v (present %v), want %v", v, ok, want)
+	}
+	if v, ok := sc.Value("pmsd_store_load_ns_bucket", dm.Label{Name: "le", Value: "+Inf"}); !ok || v != want {
+		t.Errorf(`pmsd_store_load_ns_bucket{le="+Inf"} = %v (present %v), want %v`, v, ok, want)
+	}
+	if v, ok := sc.Value("pmsd_store_load_ns_sum"); !ok || v <= 0 {
+		t.Errorf("pmsd_store_load_ns_sum = %v (present %v), want > 0", v, ok)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }

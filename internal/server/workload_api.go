@@ -21,6 +21,7 @@ package server
 
 import (
 	"net/http"
+	"time"
 
 	"repro/internal/heapsim"
 	dm "repro/internal/metrics"
@@ -124,7 +125,7 @@ type RangeResponse struct {
 }
 
 // handleHeapRun replays an explicit operation sequence.
-func (s *Server) handleHeapRun(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHeapRun(w http.ResponseWriter, r *http.Request, rec *request) {
 	var req HeapRunRequest
 	if aerr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); aerr != nil {
 		writeError(w, aerr)
@@ -151,11 +152,11 @@ func (s *Server) handleHeapRun(w http.ResponseWriter, r *http.Request) {
 		}
 		ops[i] = op
 	}
-	s.runHeap(w, r, req.Mapping, ops)
+	s.runHeap(w, r, rec, req.Mapping, ops)
 }
 
 // handleHeapWorkload generates the sequence server-side, then replays it.
-func (s *Server) handleHeapWorkload(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHeapWorkload(w http.ResponseWriter, r *http.Request, rec *request) {
 	var req HeapWorkloadRequest
 	if aerr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); aerr != nil {
 		writeError(w, aerr)
@@ -198,19 +199,19 @@ func (s *Server) handleHeapWorkload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("%v", err))
 		return
 	}
-	s.runHeap(w, r, req.Mapping, ops)
+	s.runHeap(w, r, rec, req.Mapping, ops)
 }
 
 // runHeap is the shared admitted section of the two heap endpoints:
 // acquire the mapping, replay the sequence on an instrumented heap, and
 // feed every P-template path charge into the domain accounting layer
 // (family histogram + theorem-bound monitor).
-func (s *Server) runHeap(w http.ResponseWriter, r *http.Request, reqSpec MappingSpec, ops []heapsim.Op) {
+func (s *Server) runHeap(w http.ResponseWriter, r *http.Request, rec *request, reqSpec MappingSpec, ops []heapsim.Op) {
 	// Attribution rides the requested key (the stable policy identity);
 	// the served mapping and its theorem bounds come from the effective
 	// spec the controller may have migrated the entry to.
-	reqKey := reqSpec.Key()
-	spec := s.resolveSpec(w, r, reqSpec)
+	spec := s.resolveSpec(w, rec, reqSpec)
+	reqKey := rec.requested
 
 	release, aerr := s.admit(r)
 	if aerr != nil {
@@ -219,7 +220,7 @@ func (s *Server) runHeap(w http.ResponseWriter, r *http.Request, reqSpec Mapping
 	}
 	defer release()
 
-	tr := obsv.FromContext(r.Context())
+	tr := &rec.trace
 	var resp HeapResponse
 	var taskErr error
 	if aerr := s.runTask(tr, spec, func() {
@@ -228,8 +229,7 @@ func (s *Server) runHeap(w http.ResponseWriter, r *http.Request, reqSpec Mapping
 			taskErr = err
 			return
 		}
-		endCompute := tr.StartSpan(obsv.StageBatchCompute)
-		defer endCompute()
+		defer tr.SpanSince(obsv.StageBatchCompute, time.Now())
 		sys := pms.NewSystem(m)
 		sys.SetAccounting(s.dom.Recorder())
 		var opIdx int64
@@ -281,7 +281,7 @@ func (s *Server) runHeap(w http.ResponseWriter, r *http.Request, reqSpec Mapping
 }
 
 // handleRange answers BST range queries as composite-template fetches.
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, rec *request) {
 	var req RangeRequest
 	if aerr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); aerr != nil {
 		writeError(w, aerr)
@@ -299,8 +299,8 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("%d ranges above limit %d", len(req.Ranges), s.cfg.MaxRangeQueries))
 		return
 	}
-	reqKey := req.Mapping.Key()
-	spec := s.resolveSpec(w, r, req.Mapping)
+	spec := s.resolveSpec(w, rec, req.Mapping)
+	reqKey := rec.requested
 	// The key space is the in-order positions 0 … Nodes()-1; each query
 	// walks every node in its range, so the total is capped like one
 	// simulate trace.
@@ -325,7 +325,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	tr := obsv.FromContext(r.Context())
+	tr := &rec.trace
 	var resp RangeResponse
 	var taskErr error
 	if aerr := s.runTask(tr, spec, func() {
@@ -334,8 +334,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 			taskErr = err
 			return
 		}
-		endCompute := tr.StartSpan(obsv.StageBatchCompute)
-		defer endCompute()
+		defer tr.SpanSince(obsv.StageBatchCompute, time.Now())
 		sys := pms.NewSystem(m)
 		sys.SetAccounting(s.dom.Recorder())
 		resp.Results = make([]RangeQueryResult, 0, len(req.Ranges))
