@@ -131,12 +131,13 @@ func render(prev, cur *metrics.Scrape, elapsed time.Duration, barWidth int) stri
 
 	w("pmsd /metrics\n\n")
 
-	// Serving side: per-endpoint request totals and rates.
+	// Serving side: request totals and rates of every endpoint the scrape
+	// carries, in exposition order.
 	w("requests      ")
-	for _, ep := range []string{"color", "template_cost", "simulate"} {
-		lbl := metrics.Label{Name: "endpoint", Value: ep}
-		w("%s %.0f (%s)  ", ep, val(cur, "pmsd_endpoint_requests_total", lbl),
-			rate(prev, cur, elapsed, "pmsd_endpoint_requests_total", lbl))
+	for _, s := range cur.Series("pmsd_endpoint_requests_total") {
+		ep := s.Label("endpoint")
+		w("%s %.0f (%s)  ", ep, s.Value,
+			rate(prev, cur, elapsed, "pmsd_endpoint_requests_total", metrics.Label{Name: "endpoint", Value: ep}))
 	}
 	w("\n")
 	w("backpressure  inflight %.0f  queue %.0f  rejected_429 %.0f\n",

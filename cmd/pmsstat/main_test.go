@@ -156,6 +156,27 @@ func TestRenderRatesAndGauges(t *testing.T) {
 	}
 }
 
+// TestRenderEveryEndpoint checks that the requests row renders each
+// endpoint series the scrape carries, in exposition order, the heap and
+// range endpoints included.
+func TestRenderEveryEndpoint(t *testing.T) {
+	const expo = `# TYPE pmsd_endpoint_requests_total counter
+pmsd_endpoint_requests_total{endpoint="color"} 7
+pmsd_endpoint_requests_total{endpoint="heap_run"} 4
+pmsd_endpoint_requests_total{endpoint="range_query"} 30
+`
+	const next = `# TYPE pmsd_endpoint_requests_total counter
+pmsd_endpoint_requests_total{endpoint="color"} 7
+pmsd_endpoint_requests_total{endpoint="heap_run"} 8
+pmsd_endpoint_requests_total{endpoint="range_query"} 50
+`
+	out := render(parse(t, expo), parse(t, next), 2*time.Second, 10)
+	want := "requests      color 7 (0.0/s)  heap_run 8 (2.0/s)  range_query 50 (10.0/s)  \n"
+	if !strings.Contains(out, want) {
+		t.Errorf("frame missing %q:\n%s", want, out)
+	}
+}
+
 // TestRenderViolationFlag checks the alarm path.
 func TestRenderViolationFlag(t *testing.T) {
 	sc := parse(t, "pmsd_bound_violations_total 3\n")

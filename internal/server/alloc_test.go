@@ -30,13 +30,13 @@ func allocCases() []allocCase {
 	}
 	ops := []HeapOpRef{{Op: "insert", Key: 5}, {Op: "insert", Key: 3}, {Op: "delete-min"}, {Op: "insert", Key: 9}}
 	return []allocCase{
-		{"color singleton", "/v1/color", ColorRequest{Mapping: spec, Node: &NodeRef{Index: 5, Level: 3}}, 45},
-		{"color batch", "/v1/color", ColorRequest{Mapping: spec, Nodes: batch}, 43},
-		{"template-cost", "/v1/template-cost", TemplateCostRequest{Mapping: spec, Kind: "S", Size: 7, Anchor: &NodeRef{Index: 1, Level: 2}}, 52},
-		{"simulate", "/v1/simulate", SimulateRequest{Mapping: spec, Batches: [][]int64{{0, 1, 2}, {3, 4}}}, 61},
-		{"heap/run", "/v1/heap/run", HeapRunRequest{Mapping: spec, Ops: ops}, 70},
-		{"heap/workload", "/v1/heap/workload", HeapWorkloadRequest{Mapping: spec, N: 16, Seed: 1}, 76},
-		{"range", "/v1/range", RangeRequest{Mapping: spec, Ranges: [][2]int64{{3, 40}, {100, 180}}}, 97},
+		{"color singleton", "/v1/color", ColorRequest{Mapping: spec, Node: &NodeRef{Index: 5, Level: 3}}, 44},
+		{"color batch", "/v1/color", ColorRequest{Mapping: spec, Nodes: batch}, 42},
+		{"template-cost", "/v1/template-cost", TemplateCostRequest{Mapping: spec, Kind: "S", Size: 7, Anchor: &NodeRef{Index: 1, Level: 2}}, 50},
+		{"simulate", "/v1/simulate", SimulateRequest{Mapping: spec, Batches: [][]int64{{0, 1, 2}, {3, 4}}}, 60},
+		{"heap/run", "/v1/heap/run", HeapRunRequest{Mapping: spec, Ops: ops}, 69},
+		{"heap/workload", "/v1/heap/workload", HeapWorkloadRequest{Mapping: spec, N: 16, Seed: 1}, 75},
+		{"range", "/v1/range", RangeRequest{Mapping: spec, Ranges: [][2]int64{{3, 40}, {100, 180}}}, 96},
 	}
 }
 

@@ -30,8 +30,9 @@ import (
 	"repro/internal/template"
 )
 
-// EffectiveMappingHeader is set on responses whose requested mapping was
-// redirected by a controller migration; its value is the served key.
+// EffectiveMappingHeader is set on every response, errors included,
+// whose requested mapping validated and is redirected by a controller
+// migration; its value is the served key.
 const EffectiveMappingHeader = "X-Effective-Mapping"
 
 const (
@@ -128,21 +129,37 @@ func (s *Server) sample(spec MappingSpec, in template.Instance) {
 	}
 }
 
-// resolveSpec follows a controller migration for a validated client
-// spec. When the served mapping differs from the requested one the
-// response advertises it, so probes and clients can observe the switch.
-// The requested/effective pair is stamped once on the request's record,
-// where the trace and the flight event both read it, so forensics can
-// attribute by the mapping actually served.
-func (s *Server) resolveSpec(w http.ResponseWriter, rec *request, spec MappingSpec) MappingSpec {
-	eff := s.reg.Resolve(spec)
+// resolveSpec validates a client's mapping spec and follows a
+// controller migration for it. An invalid spec is answered 400 here, and
+// ok is false. A valid one stamps the requested/effective pair on the
+// request's record, where the trace and the flight event both read it,
+// so forensics can attribute by the mapping actually served; when that
+// mapping differs from the requested one, the response advertises it,
+// errors included, so probes and clients can observe the switch.
+func (s *Server) resolveSpec(w http.ResponseWriter, rec *request, spec MappingSpec) (eff MappingSpec, ok bool) {
+	if err := spec.Validate(); err != nil {
+		writeError(w, badRequest("mapping: %v", err))
+		return MappingSpec{}, false
+	}
+	eff = s.reg.Resolve(spec)
 	rec.requested = spec.Key()
 	rec.trace.Mapping = rec.requested
 	if eff != spec {
 		rec.trace.Mapping = eff.Key()
 		w.Header().Set(EffectiveMappingHeader, rec.trace.Mapping)
 	}
-	return eff
+	return eff, true
+}
+
+// observe feeds one served template observation to the domain layer:
+// the family histogram, the per-spec counters of the requested key (the
+// stable policy identity across migrations), and the theorem-bound check
+// against the effective spec, the mapping actually served.
+func (s *Server) observe(reqKey string, spec MappingSpec, q dm.BoundQuery, conflicts int) {
+	s.dom.ObserveFamily(q.Kind, conflicts)
+	s.dom.ObserveSpec(reqKey, q.Kind, conflicts)
+	q.Alg, q.M, q.Levels = spec.Alg, spec.M, spec.Levels
+	s.dom.CheckBound(q, conflicts)
 }
 
 // serverController bundles the controller's server-side state.
@@ -189,9 +206,8 @@ func newServerController(s *Server) *serverController {
 		stop:        make(chan struct{}),
 	}
 	c.ctrl = ctl.New(ctl.Config{
-		MinDwell:       cfg.ControllerMinDwell,
-		MinSamples:     cfg.ControllerMinSamples,
-		MinImprovement: cfg.ControllerMinImprovement,
+		MinDwell:   cfg.ControllerMinDwell,
+		MinSamples: cfg.ControllerMinSamples,
 	}, ctrlHost{c})
 	return c
 }

@@ -31,30 +31,15 @@ import (
 	"repro/internal/replay"
 )
 
-// flightEndpoints are the endpoint names aggregated into metric frames,
-// matching Metrics.endpoint.
-var flightEndpoints = []string{
-	"color", "template_cost", "simulate", "heap_run", "heap_workload", "range_query",
-}
-
 var pathCleaner = strings.NewReplacer("/", "_", "-", "_")
 
-// endpointForPath maps a /v1 route to its metrics endpoint name. The
-// fallback covers requests the chaos layer answered before routing.
+// endpointForPath maps a /v1 route to its endpoint name. The fallback
+// covers requests the chaos layer answered before routing.
 func endpointForPath(path string) string {
-	switch path {
-	case "/v1/color":
-		return "color"
-	case "/v1/template-cost":
-		return "template_cost"
-	case "/v1/simulate":
-		return "simulate"
-	case "/v1/heap/run":
-		return "heap_run"
-	case "/v1/heap/workload":
-		return "heap_workload"
-	case "/v1/range":
-		return "range_query"
+	for _, ep := range endpoints {
+		if ep.path == path {
+			return ep.name
+		}
 	}
 	return pathCleaner.Replace(strings.TrimPrefix(path, "/v1/"))
 }
@@ -167,10 +152,10 @@ func (s *Server) metricFrame() flightrec.MetricFrame {
 		Rejected429:          m.rejected429.Load(),
 		ControllerDecisions:  m.controllerDecisions.Load(),
 		ControllerMigrations: m.controllerMigrations.Load(),
-		Endpoints:            make(map[string]flightrec.EndpointFrame, len(flightEndpoints)),
+		Endpoints:            make(map[string]flightrec.EndpointFrame, numEndpoints),
 	}
-	for _, name := range flightEndpoints {
-		em := m.endpoint(name)
+	for i, ep := range endpoints {
+		em := &m.endpoints[i]
 		ef := flightrec.EndpointFrame{
 			Requests:  em.requests.Load(),
 			Errors5xx: em.errors5xx.Load(),
@@ -179,7 +164,7 @@ func (s *Server) metricFrame() flightrec.MetricFrame {
 		f.Requests += ef.Requests
 		f.Errors5xx += ef.Errors5xx
 		if ef.Requests != 0 {
-			f.Endpoints[name] = ef
+			f.Endpoints[ep.name] = ef
 		}
 	}
 	f.Conflicts, f.BoundChecks, f.BoundViolations = s.dom.Counters()

@@ -24,12 +24,8 @@ type endpointMetrics struct {
 
 // Metrics is the server-wide metrics registry.
 type Metrics struct {
-	color        endpointMetrics
-	templateCost endpointMetrics
-	simulate     endpointMetrics
-	heapRun      endpointMetrics
-	heapWorkload endpointMetrics
-	rangeQuery   endpointMetrics
+	// endpoints is indexed like the endpoint table (server.go).
+	endpoints [numEndpoints]endpointMetrics
 
 	// tenants is the per-tenant admission table, wired at construction.
 	tenants *tenantTable
@@ -101,26 +97,6 @@ func (m *Metrics) recordSim(st pms.Stats) {
 	m.simCycles.Add(st.Cycles)
 	m.simConflicts.Add(st.Conflicts)
 	m.simIdleSteps.Add(st.IdleSteps)
-}
-
-// endpoint returns the per-endpoint metrics for a handler name.
-func (m *Metrics) endpoint(name string) *endpointMetrics {
-	switch name {
-	case "color":
-		return &m.color
-	case "template_cost":
-		return &m.templateCost
-	case "simulate":
-		return &m.simulate
-	case "heap_run":
-		return &m.heapRun
-	case "heap_workload":
-		return &m.heapWorkload
-	case "range_query":
-		return &m.rangeQuery
-	default:
-		return nil
-	}
 }
 
 // observe records one completed request on an endpoint.

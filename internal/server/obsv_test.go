@@ -38,7 +38,7 @@ func TestDebugRequestsRecordsStageSpans(t *testing.T) {
 
 	spec := modSpec(10, 7)
 	// Singleton (coalesced path, registry materialize), then an explicit
-	// batch (runTask path, registry hit).
+	// batch (serve path, registry hit).
 	if status := post(t, ts.Client(), ts.URL+"/v1/color", ColorRequest{
 		Mapping: spec, Node: &NodeRef{Index: 3, Level: 2},
 	}, nil); status != http.StatusOK {

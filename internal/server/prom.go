@@ -33,28 +33,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func writeServerMetrics(e *dm.Expo, m *Metrics) {
-	endpoints := []struct {
-		name string
-		em   *endpointMetrics
-	}{
-		{"color", &m.color},
-		{"template_cost", &m.templateCost},
-		{"simulate", &m.simulate},
-		{"heap_run", &m.heapRun},
-		{"heap_workload", &m.heapWorkload},
-		{"range_query", &m.rangeQuery},
+	for i, ep := range endpoints {
+		e.Counter(promPrefix+"_endpoint_requests_total", []dm.Label{{Name: "endpoint", Value: ep.name}}, m.endpoints[i].requests.Load())
 	}
-	for _, ep := range endpoints {
-		e.Counter(promPrefix+"_endpoint_requests_total", []dm.Label{{Name: "endpoint", Value: ep.name}}, ep.em.requests.Load())
+	for i, ep := range endpoints {
+		e.Counter(promPrefix+"_endpoint_errors_4xx_total", []dm.Label{{Name: "endpoint", Value: ep.name}}, m.endpoints[i].errors4xx.Load())
 	}
-	for _, ep := range endpoints {
-		e.Counter(promPrefix+"_endpoint_errors_4xx_total", []dm.Label{{Name: "endpoint", Value: ep.name}}, ep.em.errors4xx.Load())
+	for i, ep := range endpoints {
+		e.Counter(promPrefix+"_endpoint_errors_5xx_total", []dm.Label{{Name: "endpoint", Value: ep.name}}, m.endpoints[i].errors5xx.Load())
 	}
-	for _, ep := range endpoints {
-		e.Counter(promPrefix+"_endpoint_errors_5xx_total", []dm.Label{{Name: "endpoint", Value: ep.name}}, ep.em.errors5xx.Load())
-	}
-	for _, ep := range endpoints {
-		e.Histogram(promPrefix+"_endpoint_latency_us", []dm.Label{{Name: "endpoint", Value: ep.name}}, &ep.em.latencyUS)
+	for i, ep := range endpoints {
+		e.Histogram(promPrefix+"_endpoint_latency_us", []dm.Label{{Name: "endpoint", Value: ep.name}}, &m.endpoints[i].latencyUS)
 	}
 
 	// Per-tenant admission series, sorted by tenant name. The table is

@@ -30,13 +30,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // in distinct histogram buckets.
 func populateDeterministic(s *Server) {
 	m := s.met
-	m.color.observe(200, 300*time.Microsecond)
-	m.color.observe(400, 100*time.Microsecond)
-	m.templateCost.observe(200, 1500*time.Microsecond)
-	m.simulate.observe(500, 9*time.Microsecond)
-	m.heapRun.observe(200, 700*time.Microsecond)
-	m.heapWorkload.observe(200, 2500*time.Microsecond)
-	m.rangeQuery.observe(400, 60*time.Microsecond)
+	m.endpoints[0].observe(200, 300*time.Microsecond)
+	m.endpoints[0].observe(400, 100*time.Microsecond)
+	m.endpoints[1].observe(200, 1500*time.Microsecond)
+	m.endpoints[2].observe(500, 9*time.Microsecond)
+	m.endpoints[3].observe(200, 700*time.Microsecond)
+	m.endpoints[4].observe(200, 2500*time.Microsecond)
+	m.endpoints[5].observe(400, 60*time.Microsecond)
 	ta := m.tenants.get("alpha")
 	ta.requests.Store(9)
 	ta.rejected.Store(1)

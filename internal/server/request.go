@@ -35,11 +35,12 @@ import (
 //     sends the lookup's result on job.out. handleColor's receive from
 //     out completes after that send, so the spans are ordered before
 //     everything the handler and the layers above it do next.
-//   - The task runTask (server.go) queues records admission_wait,
-//     registry_acquire_* and batch_compute, then closes done. runTask
-//     returns only once its receive from done sees the close.
+//   - The task serve (server.go) queues records admission_wait,
+//     registry_acquire_* and batch_compute and writes the response and
+//     the error, then closes done. serve reads them, and returns, only
+//     once its receive from done sees the close.
 //
-// A worker touches a record only before that send or close. runTask
+// A worker touches a record only before that send or close. serve
 // returns without waiting only when its task was never queued, and
 // enqueue fails only before its job joins a group, so no worker holds a
 // record whose handler has returned.

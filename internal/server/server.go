@@ -29,6 +29,15 @@
 // POST /v1/heap/run, POST /v1/heap/workload, POST /v1/range,
 // GET /metrics, GET /debug/requests, GET /debug/snapshot, GET /healthz,
 // /debug/pprof/*.
+//
+// Each /v1 route is declared once, in the endpoint table (endpoints),
+// which the mux, the per-endpoint metrics, /metrics, the flight
+// recorder's frames and the capture layer's path attribution all read.
+// A /v1 handler decodes its body, validates and resolves the mapping in
+// one call (resolveSpec), runs its own checks, and hands its compute to
+// serve, the one admitted section: admission, one worker-pool task, and
+// the reply. Only a coalesced singleton lookup admits itself, because
+// its work joins a coalescer group instead of a task of its own.
 package server
 
 import (
@@ -76,9 +85,6 @@ type Config struct {
 	// MaxColorNodes caps the nodes of one explicit /v1/color batch
 	// (default 4096).
 	MaxColorNodes int
-	// MaxFamilyLevels caps the tree height of family-mode template-cost
-	// queries, which enumerate every instance (default 20).
-	MaxFamilyLevels int
 	// MaxSimBatches / MaxSimItems bound one /v1/simulate replay
 	// (defaults 4096 / 1<<20). MaxSimItems also caps the total items of
 	// one /v1/range request, which walks every node in every range.
@@ -132,12 +138,11 @@ type Config struct {
 	// negative records nothing, idling the controller).
 	ShadowSampleRate float64
 	// ControllerMinDwell is the minimum time between migrations of one
-	// spec (default 3× ControllerInterval). ControllerMinSamples and
-	// ControllerMinImprovement pass through to the hysteresis core
-	// (defaults 16 and 0.25).
-	ControllerMinDwell       time.Duration
-	ControllerMinSamples     int
-	ControllerMinImprovement float64
+	// spec (default 3× ControllerInterval). ControllerMinSamples passes
+	// through to the hysteresis core (default 16); the core's minimum
+	// improvement is its own default, 0.25.
+	ControllerMinDwell   time.Duration
+	ControllerMinSamples int
 	// Middleware, when set, wraps the route mux on the listener path
 	// (Start / the http.Server built by New). The fault-injection harness
 	// hooks in here; Handler() itself stays unwrapped so tests can reach
@@ -197,9 +202,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxColorNodes <= 0 {
 		c.MaxColorNodes = 4096
-	}
-	if c.MaxFamilyLevels <= 0 {
-		c.MaxFamilyLevels = 20
 	}
 	if c.MaxSimBatches <= 0 {
 		c.MaxSimBatches = 4096
@@ -334,15 +336,37 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// endpoint is one /v1 route: its path, the name its metrics series and
+// flight events carry, and its handler.
+type endpoint struct {
+	path   string
+	name   string
+	handle func(*Server, http.ResponseWriter, *http.Request, *request)
+}
+
+// numEndpoints sizes Metrics' per-endpoint array. The table's own len
+// would make the types recursive: Metrics → endpoints → handler →
+// Server → Metrics.
+const numEndpoints = 6
+
+// endpoints declares each /v1 route once. The mux, Metrics (indexed
+// like this table), /metrics, the flight recorder's metric frames and
+// the capture layer's path attribution all read it, in this order.
+var endpoints = [numEndpoints]endpoint{
+	{"/v1/color", "color", (*Server).handleColor},
+	{"/v1/template-cost", "template_cost", (*Server).handleTemplateCost},
+	{"/v1/simulate", "simulate", (*Server).handleSimulate},
+	{"/v1/heap/run", "heap_run", (*Server).handleHeapRun},
+	{"/v1/heap/workload", "heap_workload", (*Server).handleHeapWorkload},
+	{"/v1/range", "range_query", (*Server).handleRange},
+}
+
 // Handler returns the full route mux, usable without a listener.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/color", s.instrument("color", s.handleColor))
-	mux.HandleFunc("POST /v1/template-cost", s.instrument("template_cost", s.handleTemplateCost))
-	mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	mux.HandleFunc("POST /v1/heap/run", s.instrument("heap_run", s.handleHeapRun))
-	mux.HandleFunc("POST /v1/heap/workload", s.instrument("heap_workload", s.handleHeapWorkload))
-	mux.HandleFunc("POST /v1/range", s.instrument("range_query", s.handleRange))
+	for i, ep := range endpoints {
+		mux.HandleFunc("POST "+ep.path, s.instrument(i))
+	}
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	mux.HandleFunc("GET /debug/snapshot", s.handleFlightSnapshot)
@@ -437,15 +461,16 @@ func (s *Server) WarmStart(n int) int {
 	return admitted
 }
 
-// instrument wraps an endpoint with request/latency/error accounting and
-// the trace lifecycle of the request's record: the request ID comes from
-// the client's X-Request-Id (generated server-side when absent and
-// tracing is on) and is echoed back, client attempt metadata is joined
-// onto a traced record, and the trace finishes with the response status
-// once the handler returns. The record comes from the capture
-// middleware; under a bare Handler, instrument takes one itself.
-func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Request, *request)) http.HandlerFunc {
-	em := s.met.endpoint(name)
+// instrument wraps the i-th endpoint's handler with request/latency/
+// error accounting and the trace lifecycle of the request's record: the
+// request ID comes from the client's X-Request-Id (generated server-side
+// when absent and tracing is on) and is echoed back, client attempt
+// metadata is joined onto a traced record, and the trace finishes with
+// the response status once the handler returns. The record comes from
+// the capture middleware; under a bare Handler, instrument takes one
+// itself.
+func (s *Server) instrument(i int) http.HandlerFunc {
+	ep, em := &endpoints[i], &s.met.endpoints[i]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec, captured := r.Context().Value(requestKey{}).(*request)
@@ -460,7 +485,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		if tr.ID != "" {
 			w.Header().Set(obsv.HeaderRequestID, tr.ID)
 		}
-		tr.Endpoint = name
+		tr.Endpoint = ep.name
 		tr.Tenant = sanitizeTenant(r.Header.Get(TenantHeader))
 		s.trc.Sample(tr, start)
 		if tr.Traced() {
@@ -468,7 +493,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		}
 		sw := &rec.inner
 		*sw = statusWriter{ResponseWriter: w, status: http.StatusOK, timed: tr.Traced()}
-		h(sw, r, rec)
+		ep.handle(s, sw, r, rec)
 		tr.Span(obsv.StageResponseWrite, sw.writeStart, sw.writeDur)
 		tr.Finish(sw.status)
 		em.observe(sw.status, time.Since(start))
@@ -514,47 +539,69 @@ func (s *Server) admit(r *http.Request) (release func(), err *apiError) {
 	}, nil
 }
 
-// runTask executes fn on the worker pool and waits for completion.
-// The queue never rejects an admitted request (it is sized to the
-// admission limit); the fallback exists for defense in depth. The task
-// runs under a pprof label carrying the mapping key (CPU profiles
-// segment by spec) and, when traced, records the queueing delay as an
-// admission_wait span. Closing done orders every span the task records
-// before runTask returns (see request).
-func (s *Server) runTask(tr *obsv.Record, spec MappingSpec, fn func()) *apiError {
+// serve is the admitted section of every /v1 request but a coalesced
+// singleton lookup: it admits r, runs one task on the worker pool, and
+// writes the reply, compute's result as JSON or its error through
+// writeResultError. The queue never rejects an admitted request (it is
+// sized to the admission limit); the 429 fallback exists for defense in
+// depth. The task runs under a pprof label carrying the mapping key (CPU
+// profiles segment by spec) and records on tr the queueing delay
+// (admission_wait), the registry acquire as a cache-hit or materialize
+// span, and compute itself (batch_compute).
+//
+// The task writes the result, the error and every span before it closes
+// done, and serve reads them only after its receive from done sees the
+// close. serve returns without that receive only when the queue refused
+// the task, which then never runs, so no worker touches tr after serve
+// returns (see request).
+func serve[T any](s *Server, w http.ResponseWriter, r *http.Request, tr *obsv.Record, spec MappingSpec, compute func(coloring.Mapping) (T, error)) {
+	release, aerr := s.admit(r)
+	if aerr != nil {
+		writeError(w, aerr)
+		return
+	}
+	defer release()
 	var submitted time.Time
 	if tr.Traced() {
 		submitted = time.Now()
+	}
+	var out struct {
+		resp T
+		err  error
 	}
 	done := make(chan struct{})
 	task := func() {
 		defer close(done)
 		s.pool.access()
 		tr.SpanSince(obsv.StageAdmissionWait, submitted)
-		rpprof.Do(context.Background(), rpprof.Labels("mapping", spec.Key()), func(context.Context) { fn() })
+		rpprof.Do(context.Background(), rpprof.Labels("mapping", spec.Key()), func(context.Context) {
+			start := time.Now()
+			m, hit, err := s.reg.AcquireInfo(spec)
+			stage := obsv.StageRegistryMaterialize
+			if hit {
+				stage = obsv.StageRegistryHit
+			}
+			tr.SpanSince(stage, start)
+			if err != nil {
+				out.err = err
+				return
+			}
+			start = time.Now()
+			out.resp, out.err = compute(m)
+			tr.SpanSince(obsv.StageBatchCompute, start)
+		})
 	}
 	if !s.pool.trySubmit(task) {
 		s.met.rejected429.Add(1)
-		return errOverloaded
+		writeError(w, errOverloaded)
+		return
 	}
 	<-done
-	return nil
-}
-
-// acquireTraced resolves the mapping through the registry, recording the
-// acquire as a cache-hit or materialize span on the trace.
-func (s *Server) acquireTraced(spec MappingSpec, tr *obsv.Record) (coloring.Mapping, error) {
-	if !tr.Traced() {
-		return s.reg.Acquire(spec)
+	if out.err != nil {
+		writeResultError(w, out.err)
+		return
 	}
-	start := time.Now()
-	m, hit, err := s.reg.AcquireInfo(spec)
-	stage := obsv.StageRegistryMaterialize
-	if hit {
-		stage = obsv.StageRegistryHit
-	}
-	tr.SpanSince(stage, start)
-	return m, err
+	writeJSON(w, http.StatusOK, out.resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -573,45 +620,25 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request, rec *reques
 		writeError(w, aerr)
 		return
 	}
-	if err := req.Mapping.Validate(); err != nil {
-		writeError(w, badRequest("mapping: %v", err))
+	// Candidates keep the requested Levels, so the nodes validate
+	// against the requested tree whatever mapping serves them.
+	spec, ok := s.resolveSpec(w, rec, req.Mapping)
+	if !ok {
 		return
 	}
 	switch {
 	case req.Node != nil && req.Nodes == nil:
-	case req.Node == nil && len(req.Nodes) > 0:
-		if len(req.Nodes) > s.cfg.MaxColorNodes {
-			writeError(w, badRequest("batch of %d nodes above limit %d", len(req.Nodes), s.cfg.MaxColorNodes))
-			return
-		}
-	default:
-		writeError(w, badRequest("exactly one of node or nodes must be set"))
-		return
-	}
-	nodes := req.Nodes
-	if req.Node != nil {
-		nodes = []NodeRef{*req.Node}
-	}
-	for _, nr := range nodes {
-		if err := nr.validate(req.Mapping.Levels); err != nil {
+		if err := req.Node.validate(req.Mapping.Levels); err != nil {
 			writeError(w, badRequest("%v", err))
 			return
 		}
-	}
-	// Serve through the controller's effective mapping (candidates keep
-	// the requested Levels, so node validation above still applies).
-	spec := s.resolveSpec(w, rec, req.Mapping)
-
-	release, aerr := s.admit(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	defer release()
-	tr := &rec.trace
-
-	if req.Node != nil {
-		out, ok := s.coal.enqueue(spec, req.Node.Node(), tr)
+		release, aerr := s.admit(r)
+		if aerr != nil {
+			writeError(w, aerr)
+			return
+		}
+		defer release()
+		out, ok := s.coal.enqueue(spec, req.Node.Node(), &rec.trace)
 		if !ok {
 			writeError(w, errDraining)
 			return
@@ -622,34 +649,30 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request, rec *reques
 			return
 		}
 		writeJSON(w, http.StatusOK, ColorResponse{Modules: res.modules, Colors: []int{res.color}})
-		return
-	}
-
-	var resp ColorResponse
-	var taskErr error
-	if aerr := s.runTask(tr, spec, func() {
-		m, err := s.acquireTraced(spec, tr)
-		if err != nil {
-			taskErr = err
+	case req.Node == nil && len(req.Nodes) > 0:
+		nodes := req.Nodes
+		if len(nodes) > s.cfg.MaxColorNodes {
+			writeError(w, badRequest("batch of %d nodes above limit %d", len(nodes), s.cfg.MaxColorNodes))
 			return
 		}
-		batch := make([]tree.Node, len(nodes))
-		for i, nr := range nodes {
-			batch[i] = nr.Node()
+		for _, nr := range nodes {
+			if err := nr.validate(req.Mapping.Levels); err != nil {
+				writeError(w, badRequest("%v", err))
+				return
+			}
 		}
-		resp.Modules = m.Modules()
-		resp.Colors = make([]int, len(nodes))
-		computeStart, computeDur := s.coal.colorBatch(m, resp.Colors, batch)
-		tr.Span(obsv.StageBatchCompute, computeStart, computeDur)
-	}); aerr != nil {
-		writeError(w, aerr)
-		return
+		serve(s, w, r, &rec.trace, spec, func(m coloring.Mapping) (ColorResponse, error) {
+			batch := make([]tree.Node, len(nodes))
+			for i, nr := range nodes {
+				batch[i] = nr.Node()
+			}
+			resp := ColorResponse{Modules: m.Modules(), Colors: make([]int, len(nodes))}
+			s.coal.colorBatch(m, resp.Colors, batch)
+			return resp, nil
+		})
+	default:
+		writeError(w, badRequest("exactly one of node or nodes must be set"))
 	}
-	if taskErr != nil {
-		writeResultError(w, taskErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // writeResultError maps worker-side errors onto HTTP statuses. Registry
@@ -670,6 +693,11 @@ func writeResultError(w http.ResponseWriter, err error) {
 	writeError(w, &apiError{status: http.StatusInternalServerError, msg: err.Error()})
 }
 
+// maxFamilyLevels caps the tree height of family-mode template-cost
+// queries, which enumerate every instance of the tree: one request must
+// not monopolize a worker.
+const maxFamilyLevels = 20
+
 // handleTemplateCost serves conflict counts for elementary instances,
 // composite C(D,c) instances, and whole-family worst cases.
 func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec *request) {
@@ -678,19 +706,15 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec 
 		writeError(w, aerr)
 		return
 	}
-	if err := req.Mapping.Validate(); err != nil {
-		writeError(w, badRequest("mapping: %v", err))
+	spec, ok := s.resolveSpec(w, rec, req.Mapping)
+	if !ok {
 		return
 	}
 	t := tree.New(req.Mapping.Levels)
-	// Observations are attributed to the *requested* key — the stable
-	// policy identity across migrations — while the served mapping and
-	// its theorem bounds come from the effective spec.
-	spec := s.resolveSpec(w, rec, req.Mapping)
 	reqKey := rec.requested
 
 	// Pre-validate per mode, before taking a queue slot.
-	var mode func(m coloring.Mapping) (TemplateCostResponse, error)
+	var compute func(m coloring.Mapping) (TemplateCostResponse, error)
 	switch {
 	case len(req.Parts) > 0:
 		if req.Anchor != nil || req.Kind != "" {
@@ -710,7 +734,7 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec 
 			writeError(w, badRequest("%v", err))
 			return
 		}
-		mode = func(m coloring.Mapping) (TemplateCostResponse, error) {
+		compute = func(m coloring.Mapping) (TemplateCostResponse, error) {
 			resp := TemplateCostResponse{
 				Conflicts: coloring.CompositeConflicts(m, comp),
 				Items:     comp.Size(),
@@ -719,12 +743,7 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec 
 				comp.Walk(func(n tree.Node) bool { rec.Access(m.Color(n), 1); return true })
 				rec.Batch(int64(resp.Conflicts))
 			}
-			s.dom.ObserveFamily("C", resp.Conflicts)
-			s.dom.ObserveSpec(reqKey, "C", resp.Conflicts)
-			s.dom.CheckBound(dm.BoundQuery{
-				Alg: spec.Alg, M: spec.M, Levels: spec.Levels,
-				Kind: "C", Total: comp.Size(), Parts: len(comp.Parts),
-			}, resp.Conflicts)
+			s.observe(reqKey, spec, dm.BoundQuery{Kind: "C", Total: comp.Size(), Parts: len(comp.Parts)}, resp.Conflicts)
 			for _, p := range comp.Parts {
 				s.sample(req.Mapping, p)
 			}
@@ -740,7 +759,7 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec 
 			writeError(w, badRequest("%v", err))
 			return
 		}
-		mode = func(m coloring.Mapping) (TemplateCostResponse, error) {
+		compute = func(m coloring.Mapping) (TemplateCostResponse, error) {
 			resp := TemplateCostResponse{
 				Conflicts: coloring.InstanceConflicts(m, inst),
 				Items:     inst.Size,
@@ -749,21 +768,14 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec 
 				inst.Walk(func(n tree.Node) bool { rec.Access(m.Color(n), 1); return true })
 				rec.Batch(int64(resp.Conflicts))
 			}
-			s.dom.ObserveFamily(req.Kind, resp.Conflicts)
-			s.dom.ObserveSpec(reqKey, req.Kind, resp.Conflicts)
-			s.dom.CheckBound(dm.BoundQuery{
-				Alg: spec.Alg, M: spec.M, Levels: spec.Levels,
-				Kind: req.Kind, Size: inst.Size,
-			}, resp.Conflicts)
+			s.observe(reqKey, spec, dm.BoundQuery{Kind: req.Kind, Size: inst.Size}, resp.Conflicts)
 			s.sample(req.Mapping, inst)
 			return resp, nil
 		}
 	default:
-		// Family mode enumerates every instance of the tree: bound the
-		// height so one request cannot monopolize a worker.
-		if req.Mapping.Levels > s.cfg.MaxFamilyLevels {
+		if req.Mapping.Levels > maxFamilyLevels {
 			writeError(w, badRequest("family cost on %d levels above cap %d (query a single anchor instead)",
-				req.Mapping.Levels, s.cfg.MaxFamilyLevels))
+				req.Mapping.Levels, maxFamilyLevels))
 			return
 		}
 		ref := InstanceRef{Kind: req.Kind, Size: req.Size}
@@ -777,17 +789,12 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec 
 			writeError(w, badRequest("%v", err))
 			return
 		}
-		mode = func(m coloring.Mapping) (TemplateCostResponse, error) {
+		compute = func(m coloring.Mapping) (TemplateCostResponse, error) {
 			cost, witness := coloring.FamilyCost(m, fam)
 			// Family mode observes the worst case; per-module accounting is
 			// skipped — the enumeration touches every node of the tree and
 			// would drown the served access distribution.
-			s.dom.ObserveFamily(req.Kind, cost)
-			s.dom.ObserveSpec(reqKey, req.Kind, cost)
-			s.dom.CheckBound(dm.BoundQuery{
-				Alg: spec.Alg, M: spec.M, Levels: spec.Levels,
-				Kind: req.Kind, Size: req.Size,
-			}, cost)
+			s.observe(reqKey, spec, dm.BoundQuery{Kind: req.Kind, Size: req.Size}, cost)
 			s.sample(req.Mapping, witness)
 			return TemplateCostResponse{
 				Conflicts: cost,
@@ -800,35 +807,7 @@ func (s *Server) handleTemplateCost(w http.ResponseWriter, r *http.Request, rec 
 			}, nil
 		}
 	}
-
-	release, aerr := s.admit(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	defer release()
-
-	tr := &rec.trace
-	var resp TemplateCostResponse
-	var taskErr error
-	if aerr := s.runTask(tr, spec, func() {
-		m, err := s.acquireTraced(spec, tr)
-		if err != nil {
-			taskErr = err
-			return
-		}
-		computeStart := time.Now()
-		resp, taskErr = mode(m)
-		tr.SpanSince(obsv.StageBatchCompute, computeStart)
-	}); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	if taskErr != nil {
-		writeResultError(w, taskErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	serve(s, w, r, &rec.trace, spec, compute)
 }
 
 // handleSimulate replays a bounded trace through pms.SubmitDrain.
@@ -838,8 +817,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, rec *req
 		writeError(w, aerr)
 		return
 	}
-	if err := req.Mapping.Validate(); err != nil {
-		writeError(w, badRequest("mapping: %v", err))
+	spec, ok := s.resolveSpec(w, rec, req.Mapping)
+	if !ok {
 		return
 	}
 	if len(req.Batches) == 0 {
@@ -850,7 +829,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, rec *req
 		writeError(w, badRequest("%d batches above limit %d", len(req.Batches), s.cfg.MaxSimBatches))
 		return
 	}
-	spec := s.resolveSpec(w, rec, req.Mapping)
 	t := tree.New(req.Mapping.Levels)
 	items := 0
 	for _, batch := range req.Batches {
@@ -866,24 +844,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, rec *req
 			}
 		}
 	}
-
-	release, aerr := s.admit(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	defer release()
-
-	tr := &rec.trace
-	var resp SimulateResponse
-	var taskErr error
-	if aerr := s.runTask(tr, spec, func() {
-		m, err := s.acquireTraced(spec, tr)
-		if err != nil {
-			taskErr = err
-			return
-		}
-		defer tr.SpanSince(obsv.StageBatchCompute, time.Now())
+	serve(s, w, r, &rec.trace, spec, func(m coloring.Mapping) (SimulateResponse, error) {
 		sys := pms.NewSystem(m)
 		sys.SetAccounting(s.dom.Recorder())
 		batch := make([]tree.Node, 0, 64)
@@ -896,7 +857,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, rec *req
 		}
 		st := sys.Stats()
 		s.met.recordSim(st)
-		resp = SimulateResponse{
+		return SimulateResponse{
 			Batches:     st.Batches,
 			Requests:    st.Requests,
 			Cycles:      st.Cycles,
@@ -904,16 +865,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, rec *req
 			MaxQueue:    st.MaxQueue,
 			Utilization: st.Utilization(m.Modules()),
 			IdleSteps:   st.IdleSteps,
-		}
-	}); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	if taskErr != nil {
-		writeResultError(w, taskErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+		}, nil
+	})
 }
 
 // String summarizes the live config for startup logging.

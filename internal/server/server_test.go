@@ -319,7 +319,7 @@ func TestCoalescing(t *testing.T) {
 	if n := srv.met.coalescedJobs.Load(); n != clients {
 		t.Errorf("coalesced_jobs = %d, want %d", n, clients)
 	}
-	if n := srv.met.color.requests.Load(); n != clients {
+	if n := srv.met.endpoints[0].requests.Load(); n != clients {
 		t.Errorf("color requests = %d, want %d", n, clients)
 	}
 }
@@ -526,6 +526,82 @@ func TestHealthAndPprof(t *testing.T) {
 	defer pr.Body.Close()
 	if pr.StatusCode != http.StatusOK {
 		t.Errorf("pprof index status %d", pr.StatusCode)
+	}
+}
+
+// TestEndpointsStampAndCountTheir400s sends each /v1 endpoint, under a
+// controller override, a request whose mapping validates but that fails
+// one of the endpoint's own checks, then the same request with an
+// invalid mapping. The first must answer 400 with X-Effective-Mapping
+// and a flight event carrying the requested key, the effective key and
+// the endpoint's name; the second carries neither the header nor the
+// requested key. Each endpoint must then count both requests as its own
+// 4xx, on /metrics and in the flight recorder's metric frame.
+func TestEndpointsStampAndCountTheir400s(t *testing.T) {
+	srv := New(Config{flightManual: true})
+	defer shutdownServer(t, srv)
+	ts := httptest.NewServer(srv.httpSrv.Handler)
+	defer ts.Close()
+
+	requested := modSpec(10, 7)
+	effective := MappingSpec{Alg: "color", Levels: 10, M: 3}
+	srv.reg.SetOverride(requested.Key(), effective)
+	invalid := modSpec(10, 0)
+	parts := []InstanceRef{{Kind: "S", Anchor: NodeRef{Index: 0, Level: 0}, Size: 1}}
+	cases := []struct {
+		name, path string
+		body       func(MappingSpec) any
+	}{
+		{"color", "/v1/color", func(sp MappingSpec) any { return ColorRequest{Mapping: sp} }},
+		{"template_cost", "/v1/template-cost", func(sp MappingSpec) any {
+			return TemplateCostRequest{Mapping: sp, Kind: "S", Parts: parts}
+		}},
+		{"simulate", "/v1/simulate", func(sp MappingSpec) any { return SimulateRequest{Mapping: sp} }},
+		{"heap_run", "/v1/heap/run", func(sp MappingSpec) any { return HeapRunRequest{Mapping: sp} }},
+		{"heap_workload", "/v1/heap/workload", func(sp MappingSpec) any { return HeapWorkloadRequest{Mapping: sp} }},
+		{"range_query", "/v1/range", func(sp MappingSpec) any { return RangeRequest{Mapping: sp} }},
+	}
+	for _, tc := range cases {
+		status, hdr := postWithHeader(t, ts, tc.path, tc.body(requested), nil)
+		if status != http.StatusBadRequest || hdr != effective.Key() {
+			t.Errorf("%s, valid mapping: status %d, %s %q, want 400 and %q",
+				tc.name, status, EffectiveMappingHeader, hdr, effective.Key())
+		}
+		status, hdr = postWithHeader(t, ts, tc.path, tc.body(invalid), nil)
+		if status != http.StatusBadRequest || hdr != "" {
+			t.Errorf("%s, invalid mapping: status %d, %s %q, want 400 and no header",
+				tc.name, status, EffectiveMappingHeader, hdr)
+		}
+	}
+
+	events := srv.fr.EventsSnapshot()
+	if len(events) != 2*len(cases) {
+		t.Fatalf("%d flight events, want %d", len(events), 2*len(cases))
+	}
+	for i, tc := range cases {
+		stamped, unstamped := events[2*i], events[2*i+1]
+		if stamped.Endpoint != tc.name || stamped.Status != http.StatusBadRequest ||
+			stamped.Requested != requested.Key() || stamped.Effective != effective.Key() {
+			t.Errorf("%s, valid mapping: event %+v", tc.name, stamped)
+		}
+		if unstamped.Endpoint != tc.name || unstamped.Status != http.StatusBadRequest ||
+			unstamped.Requested != "" || unstamped.Effective != "" {
+			t.Errorf("%s, invalid mapping: event %+v", tc.name, unstamped)
+		}
+	}
+
+	_, sc := scrapeMetrics(t, srv.Handler())
+	frame := srv.metricFrame()
+	for _, tc := range cases {
+		lbl := dm.Label{Name: "endpoint", Value: tc.name}
+		for _, series := range []string{"pmsd_endpoint_requests_total", "pmsd_endpoint_errors_4xx_total"} {
+			if v, ok := sc.Value(series, lbl); !ok || v != 2 {
+				t.Errorf("%s{endpoint=%q} = %v (present %v), want 2", series, tc.name, v, ok)
+			}
+		}
+		if ef := frame.Endpoints[tc.name]; ef.Requests != 2 || ef.Errors4xx != 2 {
+			t.Errorf("metric frame endpoint %q = %+v, want 2 requests, 2 4xx", tc.name, ef)
+		}
 	}
 }
 

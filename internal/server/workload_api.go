@@ -21,11 +21,10 @@ package server
 
 import (
 	"net/http"
-	"time"
 
+	"repro/internal/coloring"
 	"repro/internal/heapsim"
 	dm "repro/internal/metrics"
-	"repro/internal/obsv"
 	"repro/internal/pms"
 	"repro/internal/rangequery"
 	"repro/internal/template"
@@ -131,8 +130,8 @@ func (s *Server) handleHeapRun(w http.ResponseWriter, r *http.Request, rec *requ
 		writeError(w, aerr)
 		return
 	}
-	if err := req.Mapping.Validate(); err != nil {
-		writeError(w, badRequest("mapping: %v", err))
+	spec, ok := s.resolveSpec(w, rec, req.Mapping)
+	if !ok {
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -152,7 +151,7 @@ func (s *Server) handleHeapRun(w http.ResponseWriter, r *http.Request, rec *requ
 		}
 		ops[i] = op
 	}
-	s.runHeap(w, r, rec, req.Mapping, ops)
+	serve(s, w, r, &rec.trace, spec, s.heapCompute(rec.requested, req.Mapping, spec, ops))
 }
 
 // handleHeapWorkload generates the sequence server-side, then replays it.
@@ -162,8 +161,8 @@ func (s *Server) handleHeapWorkload(w http.ResponseWriter, r *http.Request, rec 
 		writeError(w, aerr)
 		return
 	}
-	if err := req.Mapping.Validate(); err != nil {
-		writeError(w, badRequest("mapping: %v", err))
+	spec, ok := s.resolveSpec(w, rec, req.Mapping)
+	if !ok {
 		return
 	}
 	if req.N < 1 || req.N > s.cfg.MaxHeapOps {
@@ -199,48 +198,21 @@ func (s *Server) handleHeapWorkload(w http.ResponseWriter, r *http.Request, rec 
 		writeError(w, badRequest("%v", err))
 		return
 	}
-	s.runHeap(w, r, rec, req.Mapping, ops)
+	serve(s, w, r, &rec.trace, spec, s.heapCompute(rec.requested, req.Mapping, spec, ops))
 }
 
-// runHeap is the shared admitted section of the two heap endpoints:
-// acquire the mapping, replay the sequence on an instrumented heap, and
-// feed every P-template path charge into the domain accounting layer
-// (family histogram + theorem-bound monitor).
-func (s *Server) runHeap(w http.ResponseWriter, r *http.Request, rec *request, reqSpec MappingSpec, ops []heapsim.Op) {
-	// Attribution rides the requested key (the stable policy identity);
-	// the served mapping and its theorem bounds come from the effective
-	// spec the controller may have migrated the entry to.
-	spec := s.resolveSpec(w, rec, reqSpec)
-	reqKey := rec.requested
-
-	release, aerr := s.admit(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	defer release()
-
-	tr := &rec.trace
-	var resp HeapResponse
-	var taskErr error
-	if aerr := s.runTask(tr, spec, func() {
-		m, err := s.acquireTraced(spec, tr)
-		if err != nil {
-			taskErr = err
-			return
-		}
-		defer tr.SpanSince(obsv.StageBatchCompute, time.Now())
+// heapCompute returns the compute of the two heap endpoints: replay ops on
+// an instrumented heap over the served mapping, and feed every
+// P-template path charge into the domain accounting layer (family
+// histogram + theorem-bound monitor) and the requested spec's shadow
+// reservoir.
+func (s *Server) heapCompute(reqKey string, reqSpec, spec MappingSpec, ops []heapsim.Op) func(coloring.Mapping) (HeapResponse, error) {
+	return func(m coloring.Mapping) (HeapResponse, error) {
 		sys := pms.NewSystem(m)
 		sys.SetAccounting(s.dom.Recorder())
 		var opIdx int64
 		obs := func(pathLen int, cycles int64) {
-			conflicts := int(cycles - 1)
-			s.dom.ObserveFamily("P", conflicts)
-			s.dom.ObserveSpec(reqKey, "P", conflicts)
-			s.dom.CheckBound(dm.BoundQuery{
-				Alg: spec.Alg, M: spec.M, Levels: spec.Levels,
-				Kind: "P", Size: int64(pathLen),
-			}, conflicts)
+			s.observe(reqKey, spec, dm.BoundQuery{Kind: "P", Size: int64(pathLen)}, int(cycles-1))
 			if pathLen > 0 {
 				// The reservoir wants instances, not lengths; a sweep of
 				// anchors across the path's deepest level reproduces the
@@ -255,12 +227,11 @@ func (s *Server) runHeap(w http.ResponseWriter, r *http.Request, rec *request, r
 		}
 		res, err := heapsim.RunObserved(sys, ops, obs)
 		if err != nil {
-			taskErr = err
-			return
+			return HeapResponse{}, err
 		}
 		st := res.Stats
 		s.met.recordSim(st)
-		resp = HeapResponse{
+		return HeapResponse{
 			Ops:         res.Ops,
 			FinalLen:    res.FinalLen,
 			TotalCycles: res.TotalCycles,
@@ -268,16 +239,8 @@ func (s *Server) runHeap(w http.ResponseWriter, r *http.Request, rec *request, r
 			Requests:    st.Requests,
 			Conflicts:   st.Conflicts,
 			Utilization: st.Utilization(m.Modules()),
-		}
-	}); aerr != nil {
-		writeError(w, aerr)
-		return
+		}, nil
 	}
-	if taskErr != nil {
-		writeResultError(w, taskErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleRange answers BST range queries as composite-template fetches.
@@ -287,8 +250,8 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, rec *reques
 		writeError(w, aerr)
 		return
 	}
-	if err := req.Mapping.Validate(); err != nil {
-		writeError(w, badRequest("mapping: %v", err))
+	spec, ok := s.resolveSpec(w, rec, req.Mapping)
+	if !ok {
 		return
 	}
 	if len(req.Ranges) == 0 {
@@ -299,8 +262,6 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, rec *reques
 		writeError(w, badRequest("%d ranges above limit %d", len(req.Ranges), s.cfg.MaxRangeQueries))
 		return
 	}
-	spec := s.resolveSpec(w, rec, req.Mapping)
-	reqKey := rec.requested
 	// The key space is the in-order positions 0 … Nodes()-1; each query
 	// walks every node in its range, so the total is capped like one
 	// simulate trace.
@@ -317,41 +278,19 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, rec *reques
 			return
 		}
 	}
-
-	release, aerr := s.admit(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	defer release()
-
-	tr := &rec.trace
-	var resp RangeResponse
-	var taskErr error
-	if aerr := s.runTask(tr, spec, func() {
-		m, err := s.acquireTraced(spec, tr)
-		if err != nil {
-			taskErr = err
-			return
-		}
-		defer tr.SpanSince(obsv.StageBatchCompute, time.Now())
+	reqKey := rec.requested
+	serve(s, w, r, &rec.trace, spec, func(m coloring.Mapping) (RangeResponse, error) {
 		sys := pms.NewSystem(m)
 		sys.SetAccounting(s.dom.Recorder())
-		resp.Results = make([]RangeQueryResult, 0, len(req.Ranges))
+		resp := RangeResponse{Results: make([]RangeQueryResult, 0, len(req.Ranges))}
 		for _, rg := range req.Ranges {
 			qr, err := rangequery.Run(sys, rg[0], rg[1])
 			if err != nil {
-				taskErr = err
-				return
+				return RangeResponse{}, err
 			}
 			// The composite's conflicts are what Theorem 6 bounds:
 			// 4·ceil(D/M) + c for D items across c parts.
-			s.dom.ObserveFamily("C", qr.Conflicts)
-			s.dom.ObserveSpec(reqKey, "C", qr.Conflicts)
-			s.dom.CheckBound(dm.BoundQuery{
-				Alg: spec.Alg, M: spec.M, Levels: spec.Levels,
-				Kind: "C", Total: qr.Items, Parts: qr.Parts,
-			}, qr.Conflicts)
+			s.observe(reqKey, spec, dm.BoundQuery{Kind: "C", Total: qr.Items, Parts: qr.Parts}, qr.Conflicts)
 			resp.Results = append(resp.Results, RangeQueryResult{
 				Range:     qr.Range,
 				Items:     qr.Items,
@@ -365,13 +304,6 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, rec *reques
 			resp.TotalConflicts += int64(qr.Conflicts)
 		}
 		s.met.recordSim(sys.Stats())
-	}); aerr != nil {
-		writeError(w, aerr)
-		return
-	}
-	if taskErr != nil {
-		writeResultError(w, taskErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return resp, nil
+	})
 }

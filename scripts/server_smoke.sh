@@ -5,7 +5,8 @@
 # (1 worker, 100ms injected access time, 4 admitted requests), then runs
 # a scripted request mix:
 #
-#   1. health + each API endpoint answers 200 with sane payloads;
+#   1. health + each API endpoint answers 200 with sane payloads, and
+#      /metrics counts each request, and each 400, on its own endpoint;
 #   2. a parallel singleton burst must coalesce: across the burst,
 #      /metrics has to show coalesced jobs and fewer flushed batches than
 #      lookups served;
@@ -55,6 +56,10 @@ start_pmsd() {
 # read from stdin, or nothing when the series is absent.
 counter() { sed -n "s/^$1 \([0-9]*\)$/\1/p"; }
 
+# labeled NAME LABEL VALUE prints the value of the /metrics series
+# NAME{LABEL="VALUE"} read from stdin, or nothing when it is absent.
+labeled() { sed -n "s/^$1{$2=\"$3\"} \([0-9]*\)$/\1/p"; }
+
 echo "== building pmsd"
 go build -o "$WORKDIR/pmsd" ./cmd/pmsd
 
@@ -103,6 +108,21 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/range" \
 
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/color" -d 'not json')
 [ "$code" = 400 ] || fail "malformed body returned $code, want 400"
+
+echo "== endpoint counters"
+# Each route of the mix above must land on its own endpoint series: the
+# real binary's route-to-name wiring, which in-process tests cannot see.
+MIX=$(curl -s "$BASE/metrics")
+for want in color=3 template_cost=1 simulate=1 heap_run=1 heap_workload=1 range_query=2; do
+    got=$(echo "$MIX" | labeled pmsd_endpoint_requests_total endpoint "${want%=*}")
+    [ "$got" = "${want#*=}" ] ||
+        fail "pmsd_endpoint_requests_total{endpoint=\"${want%=*}\"} is '$got', want ${want#*=}"
+done
+for want in color=1 template_cost=0 simulate=0 heap_run=0 heap_workload=0 range_query=1; do
+    got=$(echo "$MIX" | labeled pmsd_endpoint_errors_4xx_total endpoint "${want%=*}")
+    [ "$got" = "${want#*=}" ] ||
+        fail "pmsd_endpoint_errors_4xx_total{endpoint=\"${want%=*}\"} is '$got', want ${want#*=}"
+done
 
 echo "== coalescing burst"
 # 8 concurrent singletons against one spec. The one worker sleeps 100ms
