@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"hash/crc32"
 	"io"
 	"unsafe"
 
+	"repro/internal/crcframe"
 	"repro/internal/tree"
 )
 
@@ -23,7 +23,7 @@ import (
 //	modules uint32
 //	nameLen uint32, name [nameLen]byte
 //	colors  [2^levels - 1]int32
-//	crc     uint32   CRC-32C over every preceding byte
+//	crc     uint32   CRC-32C (internal/crcframe) over every preceding byte
 //
 // v1 ("TREEMAP1") is the same layout without the trailing checksum;
 // LoadMapping still reads it, Save always writes v2. The golden fixtures
@@ -42,14 +42,6 @@ var (
 	magicV2 = [8]byte{'T', 'R', 'E', 'E', 'M', 'A', 'P', '2'}
 )
 
-// castagnoli is the CRC-32C table shared by every on-disk artifact in
-// this repository (TREEMAP files, mapstore entries and manifests).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// ChecksumLE returns the CRC-32C of b, the checksum every serialized
-// mapping artifact carries.
-func ChecksumLE(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
-
 // serializeChunk is the number of colors encoded per I/O chunk (256 KiB of
 // wire data), bounding both the scratch buffer and how much a lying header
 // can make Load allocate before the stream runs dry.
@@ -57,7 +49,7 @@ const serializeChunk = 1 << 16
 
 // Save writes the mapping in the v2 binary format above.
 func (a *ArrayMapping) Save(w io.Writer) error {
-	sum := crc32.New(castagnoli)
+	sum := crcframe.New()
 	bw := bufio.NewWriter(io.MultiWriter(w, sum))
 	if _, err := bw.Write(magicV2[:]); err != nil {
 		return err
@@ -114,7 +106,7 @@ func LoadMapping(r io.Reader) (*ArrayMapping, error) {
 	var body io.Reader = br
 	var sum hash.Hash32
 	if v2 {
-		sum = crc32.New(castagnoli)
+		sum = crcframe.New()
 		sum.Write(gotMagic[:])
 		body = io.TeeReader(br, sum)
 	}

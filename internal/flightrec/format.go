@@ -1,20 +1,19 @@
-// PMSINC1: the incident snapshot wire format. One fixed header (magic,
-// version, section count, CRC-32C over the header) followed by named,
-// individually checksummed sections:
+// PMSINC1: the incident snapshot wire format, framed with
+// internal/crcframe. One sealed header (magic, version, section count,
+// CRC-32C over the header) followed by named, individually checksummed
+// sections:
 //
 //	header   = "PMSINC1\n" | u32 version | u32 sections | u32 crc(header[:16])
 //	section  = u32 nameLen | name | u32 dataLen | data | u32 crc(name||data)
 //
 // Sections carry JSON documents ("meta", "events", "frames",
 // "decisions", "traces") plus the raw PMSTRC1 bytes of the replay
-// window ("trace"). Everything little-endian, CRC-32C (Castagnoli),
-// matching internal/replay and internal/mapstore. Decoding is strict
+// window ("trace"). Everything is little-endian. Decoding is strict
 // about structure — every truncation and bit flip surfaces as an error
 // before any oversized allocation — but tolerant of unknown section
 // names (checksummed, then skipped), so older readers survive newer
-// writers. Files are written atomically (tmp + fsync + rename + dir
-// fsync), mirroring the mapstore spill protocol, so a kill mid-write
-// never leaves a corrupt incident behind.
+// writers. Files are written with crcframe.WriteFile, so a kill
+// mid-write never leaves a corrupt incident behind.
 package flightrec
 
 import (
@@ -22,10 +21,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
+	"repro/internal/crcframe"
 	"repro/internal/obsv"
 	"repro/internal/replay"
 )
@@ -42,8 +41,6 @@ const (
 	maxSectionBytes = 256 << 20
 	maxSectionName  = 64
 )
-
-var incCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // IncidentMeta is the incident's header document: when and why it was
 // cut, the breaches that fired, the SLO config in force, the recorder's
@@ -111,26 +108,14 @@ func EncodeIncident(inc *Incident) ([]byte, error) {
 	for _, s := range secs {
 		size += 12 + len(s.name) + len(s.data)
 	}
-	out := make([]byte, 0, size)
-	var hdr [incHeaderSize]byte
-	copy(hdr[:8], incMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], incVersion)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(secs)))
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(hdr[:16], incCastagnoli))
-	out = append(out, hdr[:]...)
-
-	var u32 [4]byte
+	out := make([]byte, incHeaderSize, size)
+	crcframe.PutHeader(out, incMagic, incVersion)
+	binary.LittleEndian.PutUint32(out[12:16], uint32(len(secs)))
+	crcframe.Seal(out)
 	for _, s := range secs {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(s.name)))
-		out = append(out, u32[:]...)
-		out = append(out, s.name...)
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(s.data)))
-		out = append(out, u32[:]...)
-		out = append(out, s.data...)
-		crc := crc32.Checksum([]byte(s.name), incCastagnoli)
-		crc = crc32.Update(crc, incCastagnoli, s.data)
-		binary.LittleEndian.PutUint32(u32[:], crc)
-		out = append(out, u32[:]...)
+		out = crcframe.AppendChunk(out, []byte(s.name))
+		out = crcframe.AppendChunk(out, s.data)
+		out = crcframe.AppendU32(out, crcframe.Update(crcframe.Checksum([]byte(s.name)), s.data))
 	}
 	return out, nil
 }
@@ -139,17 +124,8 @@ func EncodeIncident(inc *Incident) ([]byte, error) {
 // flips, stale versions, lying lengths — returns an error; it never
 // panics (FuzzDecodeIncident holds it to that).
 func DecodeIncident(data []byte) (*Incident, error) {
-	if len(data) < incHeaderSize {
-		return nil, fmt.Errorf("flightrec: truncated header: %d bytes", len(data))
-	}
-	if string(data[:8]) != incMagic {
-		return nil, errors.New("flightrec: bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != incVersion {
-		return nil, fmt.Errorf("flightrec: unsupported version %d", v)
-	}
-	if got, want := crc32.Checksum(data[:16], incCastagnoli), binary.LittleEndian.Uint32(data[16:20]); got != want {
-		return nil, fmt.Errorf("flightrec: header checksum mismatch: %08x != %08x", got, want)
+	if err := crcframe.CheckHeader(data, incHeaderSize, incMagic, incVersion); err != nil {
+		return nil, fmt.Errorf("flightrec: %w", err)
 	}
 	nsec := binary.LittleEndian.Uint32(data[12:16])
 	if nsec > maxSections {
@@ -171,15 +147,15 @@ func DecodeIncident(data []byte) (*Incident, error) {
 		seen[name] = true
 		switch name {
 		case "meta":
-			err = strictUnmarshal(body, &inc.Meta)
+			err = json.Unmarshal(body, &inc.Meta)
 		case "events":
-			err = strictUnmarshal(body, &inc.Events)
+			err = json.Unmarshal(body, &inc.Events)
 		case "frames":
-			err = strictUnmarshal(body, &inc.Frames)
+			err = json.Unmarshal(body, &inc.Frames)
 		case "decisions":
-			err = strictUnmarshal(body, &inc.Decisions)
+			err = json.Unmarshal(body, &inc.Decisions)
 		case "traces":
-			err = strictUnmarshal(body, &inc.Traces)
+			err = json.Unmarshal(body, &inc.Traces)
 		case "trace":
 			inc.Trace, err = replay.Decode(body)
 		default:
@@ -198,51 +174,32 @@ func DecodeIncident(data []byte) (*Incident, error) {
 	return inc, nil
 }
 
-func strictUnmarshal(data []byte, v any) error {
-	return json.Unmarshal(data, v)
-}
-
 // readSection parses one section off the front of data.
 func readSection(data []byte) (name string, body, rest []byte, err error) {
-	if len(data) < 4 {
-		return "", nil, nil, errors.New("truncated name length")
+	nameBytes, rest, err := crcframe.ReadChunk(data, maxSectionName)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("name: %w", err)
 	}
-	nameLen := binary.LittleEndian.Uint32(data[:4])
-	if nameLen == 0 || nameLen > maxSectionName {
-		return "", nil, nil, fmt.Errorf("name length %d out of range", nameLen)
+	if len(nameBytes) == 0 {
+		return "", nil, nil, errors.New("empty name")
 	}
-	data = data[4:]
-	if uint32(len(data)) < nameLen {
-		return "", nil, nil, errors.New("truncated name")
+	if body, rest, err = crcframe.ReadChunk(rest, maxSectionBytes); err != nil {
+		return "", nil, nil, fmt.Errorf("data: %w", err)
 	}
-	nameBytes := data[:nameLen]
-	data = data[nameLen:]
-	if len(data) < 4 {
-		return "", nil, nil, errors.New("truncated data length")
+	want, rest, err := crcframe.ReadU32(rest)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("checksum: %w", err)
 	}
-	dataLen := binary.LittleEndian.Uint32(data[:4])
-	if dataLen > maxSectionBytes {
-		return "", nil, nil, fmt.Errorf("data length %d exceeds cap", dataLen)
+	if got := crcframe.Update(crcframe.Checksum(nameBytes), body); got != want {
+		return "", nil, nil, fmt.Errorf("checksum mismatch: file %08x, computed %08x", want, got)
 	}
-	data = data[4:]
-	if uint64(len(data)) < uint64(dataLen)+4 {
-		return "", nil, nil, errors.New("truncated data")
-	}
-	body = data[:dataLen]
-	want := binary.LittleEndian.Uint32(data[dataLen : dataLen+4])
-	crc := crc32.Checksum(nameBytes, incCastagnoli)
-	crc = crc32.Update(crc, incCastagnoli, body)
-	if crc != want {
-		return "", nil, nil, fmt.Errorf("checksum mismatch: %08x != %08x", crc, want)
-	}
-	return string(nameBytes), body, data[dataLen+4:], nil
+	return string(nameBytes), body, rest, nil
 }
 
-// WriteIncident persists the incident atomically under dir as
-// incident-<created µs>.pmsinc and returns the final path. The write
-// protocol is tmp + fsync + rename + directory fsync — the mapstore
-// spill discipline — so a crash mid-write leaves at most a stale *.tmp,
-// never a partial incident.
+// WriteIncident persists the incident under dir as
+// incident-<created µs>.pmsinc with crcframe.WriteFile and returns the
+// final path. A crash mid-write leaves at most a stale *.tmp, which the
+// *.pmsinc scan never reads.
 func WriteIncident(dir string, inc *Incident) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -252,32 +209,8 @@ func WriteIncident(dir string, inc *Incident) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, fmt.Sprintf("incident-%016d.pmsinc", inc.Meta.CreatedUS))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := crcframe.WriteFile(path, data); err != nil {
 		return "", err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
 	}
 	return path, nil
 }

@@ -18,6 +18,10 @@ import (
 	"repro/internal/replay"
 )
 
+// incCastagnoli is the tests' own CRC-32C table, so the checksums they
+// forge are computed independently of the code under test.
+var incCastagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // sampleIncident exercises every section, including the raw PMSTRC1
 // trace payload.
 func sampleIncident() *Incident {

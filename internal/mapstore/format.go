@@ -1,5 +1,5 @@
 // On-disk entry format of the mapping store. One file holds one spilled
-// mapping artifact:
+// mapping artifact, framed with internal/crcframe:
 //
 //	header block (4096 B):
 //	  [0:8]     magic "PMSTORE1"
@@ -38,6 +38,7 @@ import (
 	"os"
 
 	"repro/internal/coloring"
+	"repro/internal/crcframe"
 )
 
 const (
@@ -48,11 +49,10 @@ const (
 	maxKeyLen    = 512
 	maxSections  = (headerBlock - 4 - sectionTable) / sectionSize
 
+	entryMagic    = "PMSTORE1"
 	formatVersion = 1
 	flagLE        = 1 << 0
 )
-
-var entryMagic = [8]byte{'P', 'M', 'S', 'T', 'O', 'R', 'E', '1'}
 
 // Mapping kinds. The kind selects the section codec.
 const (
@@ -85,8 +85,7 @@ func encodeEntry(key string, kind uint16, secs []coloring.Section) ([]byte, erro
 	}
 	buf := make([]byte, headerBlock+payloadLen)
 	hdr := buf[:headerBlock]
-	copy(hdr[0:8], entryMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], formatVersion)
+	crcframe.PutHeader(hdr, entryMagic, formatVersion)
 	binary.LittleEndian.PutUint16(hdr[12:14], kind)
 	binary.LittleEndian.PutUint16(hdr[14:16], flagLE)
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(payloadLen))
@@ -102,8 +101,8 @@ func encodeEntry(key string, kind uint16, secs []coloring.Section) ([]byte, erro
 		binary.LittleEndian.PutUint64(rec[16:24], uint64(offsets[i]))
 		copy(payload[offsets[i]:], sec.Data)
 	}
-	binary.LittleEndian.PutUint32(hdr[24:28], coloring.ChecksumLE(payload))
-	binary.LittleEndian.PutUint32(hdr[headerBlock-4:], coloring.ChecksumLE(hdr[:headerBlock-4]))
+	binary.LittleEndian.PutUint32(hdr[24:28], crcframe.Checksum(payload))
+	crcframe.Seal(hdr)
 	return buf, nil
 }
 
@@ -121,18 +120,8 @@ type entryHeader struct {
 // against totalLen and the fixed block geometry first.
 func parseHeader(hdr []byte, totalLen int64) (entryHeader, error) {
 	var h entryHeader
-	if len(hdr) < headerBlock {
-		return h, fmt.Errorf("mapstore: entry of %d bytes below the %d-byte header", len(hdr), headerBlock)
-	}
-	hdr = hdr[:headerBlock]
-	if [8]byte(hdr[0:8]) != entryMagic {
-		return h, fmt.Errorf("mapstore: bad magic %q", hdr[0:8])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != formatVersion {
-		return h, fmt.Errorf("mapstore: unsupported format version %d (want %d)", v, formatVersion)
-	}
-	if got, want := binary.LittleEndian.Uint32(hdr[headerBlock-4:]), coloring.ChecksumLE(hdr[:headerBlock-4]); got != want {
-		return h, fmt.Errorf("mapstore: header checksum mismatch: file %#x, computed %#x", got, want)
+	if err := crcframe.CheckHeader(hdr, headerBlock, entryMagic, formatVersion); err != nil {
+		return h, fmt.Errorf("mapstore: %w", err)
 	}
 	if flags := binary.LittleEndian.Uint16(hdr[14:16]); flags != flagLE {
 		return h, fmt.Errorf("mapstore: unsupported flags %#x", flags)
@@ -165,7 +154,7 @@ func decodeEntry(data []byte) (entryHeader, []coloring.Section, error) {
 		return h, nil, err
 	}
 	payload := data[headerBlock:]
-	if got := coloring.ChecksumLE(payload); got != h.payloadCRC {
+	if got := crcframe.Checksum(payload); got != h.payloadCRC {
 		return h, nil, fmt.Errorf("mapstore: payload checksum mismatch: header %#x, computed %#x", h.payloadCRC, got)
 	}
 	secs := make([]coloring.Section, h.sections)

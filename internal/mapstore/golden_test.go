@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/coloring"
@@ -14,7 +15,7 @@ import (
 
 // The golden fixtures pin every on-disk layout byte-for-byte: the
 // TREEMAP stream format (both the legacy v1 layout and the checksummed
-// v2 one) and one mapstore entry per mapping kind. A failing golden test
+// v2 one), one mapstore entry per mapping kind and the MANIFEST sidecar. A failing golden test
 // means the format changed — which requires a version bump, not a
 // fixture refresh. Regenerate deliberately with:
 //
@@ -140,5 +141,30 @@ func TestGoldenEntries(t *testing.T) {
 			}
 			requireSameColors(t, decoded, tc.m)
 		})
+	}
+}
+
+// TestGoldenManifest pins the MANIFEST sidecar: magic, version, payload
+// length and CRC-32C around the JSON heat and decision records.
+func TestGoldenManifest(t *testing.T) {
+	man := manifest{
+		Entries: []manifestEntry{{
+			Key: "golden/retriever", File: "golden_retriever-00000000deadbeef.pme",
+			Bytes: 12288, Hits: 7, LastAccess: 1_700_000_000_000_000_000,
+		}},
+		Decisions: map[string]string{"levelcyclic/H=12/M=15": `{"alg":"color","levels":12,"m":4}`},
+	}
+	data, err := encodeManifest(man)
+	if err != nil {
+		t.Fatalf("encodeManifest: %v", err)
+	}
+	golden(t, "manifest.bin", data)
+
+	got, err := decodeManifest(data)
+	if err != nil {
+		t.Fatalf("decodeManifest: %v", err)
+	}
+	if !reflect.DeepEqual(got, man) {
+		t.Fatalf("manifest round-trip:\n got %+v\nwant %+v", got, man)
 	}
 }

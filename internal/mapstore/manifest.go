@@ -2,9 +2,9 @@
 // (hit counts, last access) so a restarted pmsd can pre-admit the
 // hottest specs. The manifest is advisory — entry files are fully
 // self-describing (key in the header, payload CRC), so a missing or
-// corrupt manifest costs only the heat ordering, never data. It is
-// written with the same temp-file + fsync + rename protocol as entries,
-// so a crash leaves either the old or the new manifest, never a torn one.
+// corrupt manifest costs only the heat ordering, never data. Like the
+// entries it is written with crcframe.WriteFile, so a crash leaves
+// either the old or the new manifest, never a torn one.
 //
 // Format: magic "PMSMANI1" | version u32 | payloadLen u32 |
 // payloadCRC u32 | JSON payload.
@@ -15,19 +15,18 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/coloring"
+	"repro/internal/crcframe"
 )
 
 const (
 	manifestName    = "MANIFEST"
+	manifestMagic   = "PMSMANI1"
 	manifestVersion = 1
 	// maxManifestLen bounds the declared payload so a corrupt length
 	// cannot drive allocation (the JSON for even millions of entries
 	// stays far below this).
 	maxManifestLen = 1 << 26
 )
-
-var manifestMagic = [8]byte{'P', 'M', 'S', 'M', 'A', 'N', 'I', '1'}
 
 // manifestEntry is one entry's persisted heat record.
 type manifestEntry struct {
@@ -55,10 +54,9 @@ func encodeManifest(m manifest) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, 20, 20+len(payload))
-	copy(buf[0:8], manifestMagic[:])
-	binary.LittleEndian.PutUint32(buf[8:12], manifestVersion)
+	crcframe.PutHeader(buf, manifestMagic, manifestVersion)
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[16:20], coloring.ChecksumLE(payload))
+	binary.LittleEndian.PutUint32(buf[16:20], crcframe.Checksum(payload))
 	return append(buf, payload...), nil
 }
 
@@ -68,7 +66,7 @@ func decodeManifest(data []byte) (manifest, error) {
 	if len(data) < 20 {
 		return m, fmt.Errorf("mapstore: manifest of %d bytes below header", len(data))
 	}
-	if [8]byte(data[0:8]) != manifestMagic {
+	if string(data[0:8]) != manifestMagic {
 		return m, fmt.Errorf("mapstore: bad manifest magic %q", data[0:8])
 	}
 	if v := binary.LittleEndian.Uint32(data[8:12]); v != manifestVersion {
@@ -79,7 +77,7 @@ func decodeManifest(data []byte) (manifest, error) {
 		return m, fmt.Errorf("mapstore: declared manifest payload of %d bytes, file carries %d", payloadLen, len(data)-20)
 	}
 	payload := data[20:]
-	if got, want := binary.LittleEndian.Uint32(data[16:20]), coloring.ChecksumLE(payload); got != want {
+	if got, want := binary.LittleEndian.Uint32(data[16:20]), crcframe.Checksum(payload); got != want {
 		return m, fmt.Errorf("mapstore: manifest checksum mismatch: file %#x, computed %#x", got, want)
 	}
 	if err := json.Unmarshal(payload, &m); err != nil {

@@ -5,9 +5,9 @@
 // read()+copy fallback.
 //
 // The store is crash-safe by construction: entries and the manifest are
-// written to a temp file, fsynced, and atomically renamed into place, so
-// a kill -9 mid-spill leaves either the old bytes or the new bytes plus
-// an ignorable *.tmp — never a torn file a later Open would trust.
+// written with crcframe.WriteFile, so a kill -9 mid-spill leaves either
+// the old bytes or the new bytes plus a *.tmp that Open deletes — never
+// a torn file a later Open would trust.
 // Corrupt or truncated entries (bit rot, partial writes that somehow got
 // renamed) are detected by the header and payload checksums, skipped,
 // unlinked and counted in the corrupt stat.
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/coloring"
+	"repro/internal/crcframe"
 	"repro/internal/obsv"
 )
 
@@ -332,7 +333,7 @@ func (s *Store) loadFile(path, wantKey string) (coloring.Mapping, []byte, error)
 
 // Put synchronously spills the mapping under key. Already-present keys
 // are no-ops (entry content is deterministic per key). The write is
-// atomic: temp file, fsync, rename, directory fsync.
+// crcframe.WriteFile's crash-safe one.
 func (s *Store) Put(key string, m coloring.Mapping) error {
 	s.mu.Lock()
 	if s.closed {
@@ -351,7 +352,7 @@ func (s *Store) Put(key string, m coloring.Mapping) error {
 	}
 	file := entryFileName(key)
 	path := filepath.Join(s.dir, file)
-	if err := atomicWrite(path, data); err != nil {
+	if err := crcframe.WriteFile(path, data); err != nil {
 		return err
 	}
 
@@ -592,39 +593,5 @@ func (s *Store) writeManifestLocked() error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(s.dir, manifestName), data)
-}
-
-// atomicWrite is the crash-safe write protocol shared by entries and
-// the manifest: temp file in the same directory, fsync, rename over the
-// destination, fsync the directory so the rename itself is durable.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return crcframe.WriteFile(filepath.Join(s.dir, manifestName), data)
 }

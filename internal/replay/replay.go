@@ -33,11 +33,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"sync"
+
+	"repro/internal/crcframe"
 )
 
 // Format constants. The magic pins both the format family and, via the
@@ -62,8 +63,6 @@ const (
 	TenantHeader = "X-Tenant"
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Record is one captured request: the endpoint path, the tenant it was
 // issued under, and the raw request body.
 type Record struct {
@@ -79,55 +78,37 @@ type Trace struct {
 	Records []Record
 }
 
-// Encode renders the trace in the PMSTRC1 wire format. Encoding is
+// Encode renders the trace in the PMSTRC1 wire format: the sealed
+// header, then per record a u32-length-prefixed frame of three chunks
+// (path, tenant, body) followed by the frame's CRC-32C. Encoding is
 // canonical: Decode(Encode(tr)) round-trips to byte-identical output.
 func Encode(tr *Trace) []byte {
-	var buf bytes.Buffer
-	var hdr [headerSize]byte
-	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], version)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(tr.Seed))
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(len(tr.Records)))
-	binary.LittleEndian.PutUint32(hdr[24:28], crc32.Checksum(hdr[:24], castagnoli))
-	buf.Write(hdr[:])
-
-	var u32 [4]byte
+	size := headerSize
 	for _, r := range tr.Records {
-		frame := make([]byte, 0, 12+len(r.Path)+len(r.Tenant)+len(r.Body))
-		frame = appendChunk(frame, []byte(r.Path))
-		frame = appendChunk(frame, []byte(r.Tenant))
-		frame = appendChunk(frame, r.Body)
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(frame)))
-		buf.Write(u32[:])
-		buf.Write(frame)
-		binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(frame, castagnoli))
-		buf.Write(u32[:])
+		size += 20 + len(r.Path) + len(r.Tenant) + len(r.Body)
 	}
-	return buf.Bytes()
-}
-
-func appendChunk(dst, chunk []byte) []byte {
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(chunk)))
-	dst = append(dst, u32[:]...)
-	return append(dst, chunk...)
+	out := make([]byte, headerSize, size)
+	crcframe.PutHeader(out, magic, version)
+	binary.LittleEndian.PutUint64(out[12:20], uint64(tr.Seed))
+	binary.LittleEndian.PutUint32(out[20:24], uint32(len(tr.Records)))
+	crcframe.Seal(out)
+	for _, r := range tr.Records {
+		out = crcframe.AppendU32(out, uint32(12+len(r.Path)+len(r.Tenant)+len(r.Body)))
+		start := len(out)
+		out = crcframe.AppendChunk(out, []byte(r.Path))
+		out = crcframe.AppendChunk(out, []byte(r.Tenant))
+		out = crcframe.AppendChunk(out, r.Body)
+		out = crcframe.AppendU32(out, crcframe.Checksum(out[start:]))
+	}
+	return out
 }
 
 // Decode parses a PMSTRC1 trace. Any corruption — truncation, a flipped
 // bit under a CRC, a length prefix past the input — is an error; the
 // fuzz target locks in that no input panics or over-allocates.
 func Decode(data []byte) (*Trace, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("replay: trace truncated at %d bytes (header is %d)", len(data), headerSize)
-	}
-	if string(data[:8]) != magic {
-		return nil, fmt.Errorf("replay: bad magic %q", data[:8])
-	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != version {
-		return nil, fmt.Errorf("replay: unsupported trace version %d (want %d)", v, version)
-	}
-	if got, want := crc32.Checksum(data[:24], castagnoli), binary.LittleEndian.Uint32(data[24:28]); got != want {
-		return nil, fmt.Errorf("replay: header checksum mismatch (%08x != %08x)", got, want)
+	if err := crcframe.CheckHeader(data, headerSize, magic, version); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
 	}
 	count := binary.LittleEndian.Uint32(data[20:24])
 	if count > maxRecords {
@@ -137,41 +118,12 @@ func Decode(data []byte) (*Trace, error) {
 
 	rest := data[headerSize:]
 	for uint32(len(tr.Records)) < count {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("replay: record %d truncated in length prefix", len(tr.Records))
-		}
-		frameLen := binary.LittleEndian.Uint32(rest[:4])
-		if frameLen > MaxFrame {
-			return nil, fmt.Errorf("replay: record %d frame of %d bytes above cap %d", len(tr.Records), frameLen, MaxFrame)
-		}
-		if uint64(len(rest)) < 8+uint64(frameLen) {
-			return nil, fmt.Errorf("replay: record %d truncated (frame %d, %d bytes left)", len(tr.Records), frameLen, len(rest)-4)
-		}
-		frame := rest[4 : 4+frameLen]
-		crc := binary.LittleEndian.Uint32(rest[4+frameLen : 8+frameLen])
-		if got := crc32.Checksum(frame, castagnoli); got != crc {
-			return nil, fmt.Errorf("replay: record %d checksum mismatch (%08x != %08x)", len(tr.Records), got, crc)
-		}
-		var rec Record
-		var chunk []byte
-		var err error
-		if chunk, frame, err = readChunk(frame); err != nil {
-			return nil, fmt.Errorf("replay: record %d path: %w", len(tr.Records), err)
-		}
-		rec.Path = string(chunk)
-		if chunk, frame, err = readChunk(frame); err != nil {
-			return nil, fmt.Errorf("replay: record %d tenant: %w", len(tr.Records), err)
-		}
-		rec.Tenant = string(chunk)
-		if chunk, frame, err = readChunk(frame); err != nil {
-			return nil, fmt.Errorf("replay: record %d body: %w", len(tr.Records), err)
-		}
-		rec.Body = append([]byte(nil), chunk...)
-		if len(frame) != 0 {
-			return nil, fmt.Errorf("replay: record %d has %d trailing frame bytes", len(tr.Records), len(frame))
+		rec, tail, err := decodeRecord(rest)
+		if err != nil {
+			return nil, fmt.Errorf("replay: record %d: %w", len(tr.Records), err)
 		}
 		tr.Records = append(tr.Records, rec)
-		rest = rest[8+frameLen:]
+		rest = tail
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("replay: %d trailing bytes after %d records", len(rest), count)
@@ -179,42 +131,38 @@ func Decode(data []byte) (*Trace, error) {
 	return tr, nil
 }
 
-// readChunk pops one u32-length-prefixed chunk off the frame.
-func readChunk(frame []byte) (chunk, rest []byte, err error) {
-	if len(frame) < 4 {
-		return nil, nil, fmt.Errorf("truncated in length prefix (%d bytes left)", len(frame))
+// decodeRecord pops one checksummed record frame off data.
+func decodeRecord(data []byte) (rec Record, rest []byte, err error) {
+	frame, rest, err := crcframe.ReadChunk(data, MaxFrame)
+	if err != nil {
+		return rec, nil, fmt.Errorf("frame: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(frame[:4])
-	if uint64(len(frame)) < 4+uint64(n) {
-		return nil, nil, fmt.Errorf("chunk of %d bytes past frame end (%d left)", n, len(frame)-4)
+	crc, rest, err := crcframe.ReadU32(rest)
+	if err != nil {
+		return rec, nil, fmt.Errorf("checksum: %w", err)
 	}
-	return frame[4 : 4+n], frame[4+n:], nil
+	if got := crcframe.Checksum(frame); got != crc {
+		return rec, nil, fmt.Errorf("checksum mismatch: file %08x, computed %08x", crc, got)
+	}
+	var path, tenant, body []byte
+	if path, frame, err = crcframe.ReadChunk(frame, MaxFrame); err != nil {
+		return rec, nil, fmt.Errorf("path: %w", err)
+	}
+	if tenant, frame, err = crcframe.ReadChunk(frame, MaxFrame); err != nil {
+		return rec, nil, fmt.Errorf("tenant: %w", err)
+	}
+	if body, frame, err = crcframe.ReadChunk(frame, MaxFrame); err != nil {
+		return rec, nil, fmt.Errorf("body: %w", err)
+	}
+	if len(frame) != 0 {
+		return rec, nil, fmt.Errorf("%d trailing frame bytes", len(frame))
+	}
+	return Record{Path: string(path), Tenant: string(tenant), Body: append([]byte(nil), body...)}, rest, nil
 }
 
-// Save writes the trace to path via a temp file + rename, so a crash
+// Save writes the trace to path with crcframe.WriteFile, so a crash
 // mid-write never leaves a half-trace under the final name.
-func (tr *Trace) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(Encode(tr)); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
+func (tr *Trace) Save(path string) error { return crcframe.WriteFile(path, Encode(tr)) }
 
 // Load reads and decodes a trace file.
 func Load(path string) (*Trace, error) {

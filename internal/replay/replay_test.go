@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -136,5 +137,21 @@ func TestReplayRestoresTenantHeader(t *testing.T) {
 		if tenants[i] != want[i] {
 			t.Errorf("tenant %d = %q, want %q", i, tenants[i], want[i])
 		}
+	}
+}
+
+// TestSaveFailureRemovesTemp: a Save that cannot rename over its
+// destination (here a non-empty directory) fails and leaves no
+// <path>.tmp behind.
+func TestSaveFailureRemovesTemp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.pmstrc")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := sampleTrace().Save(path); err == nil {
+		t.Fatal("Save over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed Save left its .tmp behind: %v", err)
 	}
 }

@@ -22,7 +22,9 @@
 #      a single rematerialization and the bound monitor stays at zero.
 #
 # Every pmsd the script starts must keep the bound monitor
-# (pmsd_bound_violations_total on /metrics) at zero.
+# (pmsd_bound_violations_total on /metrics) at zero, and every file it
+# writes (the -record trace, store entries and MANIFEST, incidents) must
+# leave no *.tmp behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +57,15 @@ start_pmsd() {
 # counter NAME prints the value of the unlabeled /metrics series NAME
 # read from stdin, or nothing when the series is absent.
 counter() { sed -n "s/^$1 \([0-9]*\)$/\1/p"; }
+
+# no_tmp DIR WHAT fails when a *.tmp file remains in DIR after WHAT
+# wrote there: every pmsd writer renames its temp file into place or
+# removes it.
+no_tmp() {
+    local left
+    left=$(find "$1" -maxdepth 1 -name '*.tmp')
+    [ -z "$left" ] || fail "$2 left temp files behind: $left"
+}
 
 # labeled NAME LABEL VALUE prints the value of the /metrics series
 # NAME{LABEL="VALUE"} read from stdin, or nothing when it is absent.
@@ -243,6 +254,7 @@ grep -q '^pmsd_bound_violations_total 0$' <<<"$(curl -s "$BASE/metrics")" || fai
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "recording pmsd exited non-zero on SIGTERM"
 grep -q 'recorded=12 dropped=0' "$WORKDIR/pmsd-record.log" || fail "tape did not hold the 12 POSTs"
+no_tmp "$WORKDIR" "the -record save"
 for run in 1 2; do
     "$WORKDIR/pmsd" -replay "$TRACEFILE" >"$WORKDIR/replay$run.out" 2>&1 \
         || fail "pmsd -replay run $run failed: $(cat "$WORKDIR/replay$run.out")"
@@ -267,6 +279,7 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "store-backed pmsd exited non-zero on SIGTERM"
 [ -f "$STOREDIR/MANIFEST" ] || fail "store drain left no manifest in $STOREDIR"
 ls "$STOREDIR"/*.pme >/dev/null 2>&1 || fail "store drain left no entries in $STOREDIR"
+no_tmp "$STOREDIR" "the store drain"
 
 echo "== tiered store: warm restart"
 # Relaunch over the same directory: the hot spec must be pre-admitted
@@ -289,6 +302,7 @@ echo "$METRICS" | grep -q '^pmsd_bound_violations_total 0$' || fail "bound monit
 echo "   warm restart: materializes=0 acquire_hits=$hits"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "warm pmsd exited non-zero on SIGTERM"
+no_tmp "$STOREDIR" "the warm store drain"
 
 echo "== adaptive controller: migration under S-heavy traffic"
 # A controller-enabled pmsd over a fresh store directory. The requested
@@ -377,6 +391,7 @@ grep -q 'slo watchdog' "$WORKDIR/pmsstat-slo.out" || fail "pmsstat frame missing
 grep -q 'rule error_rate' "$WORKDIR/pmsstat-slo.out" || fail "pmsstat frame missing the breached rule: $(cat "$WORKDIR/pmsstat-slo.out")"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "forensics pmsd exited non-zero on SIGTERM"
+no_tmp "$INCDIR" "the watchdog's incident write"
 "$WORKDIR/pmsdoctor" -once -dir "$INCDIR" >"$WORKDIR/doctor-breach.out" \
     || fail "pmsdoctor rejected the watchdog incident: $(cat "$WORKDIR/doctor-breach.out")"
 grep -q 'error_rate' "$WORKDIR/doctor-breach.out" || fail "pmsdoctor report missing the error_rate breach: $(cat "$WORKDIR/doctor-breach.out")"
