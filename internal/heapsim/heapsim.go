@@ -7,7 +7,10 @@
 // The heap is a real, fully functional array heap laid out on the complete
 // binary tree; every operation additionally submits the path it touches to
 // a pms.System so workloads can be replayed under different mappings and
-// their memory cost compared (experiment E8).
+// their memory cost compared (experiment E8). Its memory is O(keys held),
+// not O(tree): the key array grows with the heap and one path buffer of
+// tree height is reused for every charge, so a heap over a 40-level tree
+// allocates for its keys, not for its 2^40-1 slots.
 package heapsim
 
 import (
@@ -25,6 +28,7 @@ type Heap struct {
 	keys []int64 // keys[h] for heap index h; only [0,size) valid
 	size int64
 	obs  PathObserver
+	path []tree.Node // the batch every path charge fills and submits
 }
 
 // PathObserver sees every P-template path charge: the number of nodes
@@ -37,10 +41,12 @@ type PathObserver func(pathLen int, cycles int64)
 func (h *Heap) SetObserver(obs PathObserver) { h.obs = obs }
 
 // New builds an empty heap over the mapping's tree, accounting memory
-// traffic against sys.
+// traffic against sys. It allocates no key storage: keys grow as they
+// are inserted, so the heap's memory is O(keys held), not O(tree), while
+// Cap stays the tree's node count.
 func New(sys *pms.System) *Heap {
 	t := sys.Mapping().Tree()
-	return &Heap{sys: sys, t: t, keys: make([]int64, t.Nodes())}
+	return &Heap{sys: sys, t: t, path: make([]tree.Node, 0, t.Levels())}
 }
 
 // Len returns the number of keys currently stored.
@@ -52,17 +58,23 @@ func (h *Heap) Cap() int64 { return h.t.Nodes() }
 // System returns the attached memory system simulator.
 func (h *Heap) System() *pms.System { return h.sys }
 
-// pathNodes returns the ascending path from heap slot idx to the root —
-// the P-template instance an operation on slot idx touches.
-func (h *Heap) pathNodes(idx int64) []tree.Node {
-	n := tree.FromHeapIndex(idx)
-	return tree.PathNodes(n, n.Level+1)
+// fillPath refills the heap's path buffer with tree.PathNodes(n, k): the
+// ascending path of k nodes from n. The buffer is reused by the next
+// charge, so a pms.System observer sees it only during its call.
+func (h *Heap) fillPath(n tree.Node, k int) []tree.Node {
+	h.path = h.path[:0]
+	for step := 0; step < k; step++ {
+		h.path = append(h.path, n.Ancestor(step))
+	}
+	return h.path
 }
 
-// chargePath submits the path from slot idx to the root as one parallel
-// batch and drains it, returning the cycles consumed.
+// chargePath submits the path from slot idx to the root — the P-template
+// instance an operation on slot idx touches — as one parallel batch and
+// drains it, returning the cycles consumed.
 func (h *Heap) chargePath(idx int64) int64 {
-	nodes := h.pathNodes(idx)
+	n := tree.FromHeapIndex(idx)
+	nodes := h.fillPath(n, n.Level+1)
 	cycles := h.sys.SubmitDrain(nodes)
 	if h.obs != nil {
 		h.obs(len(nodes), cycles)
@@ -77,7 +89,7 @@ func (h *Heap) Insert(key int64) (int64, error) {
 		return 0, fmt.Errorf("heapsim: heap full (%d keys)", h.size)
 	}
 	idx := h.size
-	h.keys[idx] = key
+	h.keys = append(h.keys[:idx], key)
 	h.size++
 	cycles := h.chargePath(idx)
 	h.siftUp(idx)
@@ -134,7 +146,7 @@ func (h *Heap) Heapify(keys []int64) (int64, error) {
 	if int64(len(keys)) > h.Cap() {
 		return 0, fmt.Errorf("heapsim: %d keys exceed capacity %d", len(keys), h.Cap())
 	}
-	copy(h.keys, keys)
+	h.keys = append(h.keys[:0], keys...)
 	h.size = int64(len(keys))
 	var cycles int64
 	// Load phase: each fully-occupied level is written as one batch.
@@ -160,7 +172,7 @@ func (h *Heap) Heapify(keys []int64) (int64, error) {
 		from := tree.FromHeapIndex(idx)
 		to := tree.FromHeapIndex(last)
 		if to.Level > from.Level {
-			cycles += h.sys.SubmitDrain(tree.PathNodes(to, to.Level-from.Level+1))
+			cycles += h.sys.SubmitDrain(h.fillPath(to, to.Level-from.Level+1))
 		}
 	}
 	return cycles, h.Verify()
@@ -254,6 +266,15 @@ func Run(sys *pms.System, ops []Op) (WorkloadResult, error) {
 func RunObserved(sys *pms.System, ops []Op, obs PathObserver) (WorkloadResult, error) {
 	h := New(sys)
 	h.SetObserver(obs)
+	// Size the keys once, for every insert the sequence could apply, so
+	// that Insert's append never regrows them.
+	var inserts int64
+	for _, op := range ops {
+		if op.Kind == OpInsert {
+			inserts++
+		}
+	}
+	h.keys = make([]int64, 0, min(inserts, h.Cap()))
 	var res WorkloadResult
 	for _, op := range ops {
 		var cycles int64

@@ -2,6 +2,8 @@ package heapsim
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -394,5 +396,120 @@ func TestRunDecreaseKeyOnEmptyHeap(t *testing.T) {
 	}
 	if res.Ops != 1 || res.FinalLen != 1 {
 		t.Errorf("Ops = %d FinalLen = %d, want 1 and 1", res.Ops, res.FinalLen)
+	}
+}
+
+// A heap over a 40-level tree holds 2^40-1 slots; sizing its keys to
+// the tree asked for an 8 TiB block. Memory follows the keys held, so
+// a Run there succeeds and Cap still reports the tree's node count.
+func TestRunOnFortyLevelTree(t *testing.T) {
+	sys := pms.NewSystem(baseline.Modulo(tree.New(40), 7))
+	if got, want := New(sys).Cap(), int64(1)<<40-1; got != want {
+		t.Fatalf("Cap = %d, want %d", got, want)
+	}
+	ops := []Op{
+		{Kind: OpInsert, Key: 9}, {Kind: OpInsert, Key: 3}, {Kind: OpInsert, Key: 7},
+		{Kind: OpDecreaseKey, Slot: 2, Key: 1}, {Kind: OpDeleteMin},
+	}
+	res, err := Run(sys, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != len(ops) || res.FinalLen != 2 {
+		t.Errorf("Ops = %d FinalLen = %d, want %d and 2", res.Ops, res.FinalLen, len(ops))
+	}
+}
+
+// One 64-op Run at H=20 allocates for its keys and one path, not for
+// the tree's 2^20 slots (8 MiB of keys).
+func TestRunBytesFollowKeys(t *testing.T) {
+	sys := pms.NewSystem(baseline.Modulo(tree.New(20), 15))
+	rng := rand.New(rand.NewSource(11))
+	ops := make([]Op, 64)
+	for i := range ops {
+		switch rng.Intn(3) {
+		case 0, 1:
+			ops[i] = Op{Kind: OpInsert, Key: rng.Int63n(1 << 20)}
+		default:
+			ops[i] = Op{Kind: OpDeleteMin}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(sys, ops)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops == 0 {
+		t.Fatal("no ops ran")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("64-op Run at H=20 allocated %d bytes, want < %d", got, 64<<10)
+	}
+}
+
+// Every path charge refills one reused buffer, so a pms.System observer
+// sees each batch only during its call. An observer that copies them
+// must still hold, after the whole Run, the leaf-to-root path of every
+// operation's slot: no later charge overwrites an earlier batch.
+func TestObservedPathsSurviveBufferReuse(t *testing.T) {
+	const levels = 8
+	sys := newSys(t, levels)
+	var batches [][]tree.Node
+	sys.SetObserver(func(batch []tree.Node) {
+		batches = append(batches, slices.Clone(batch))
+	})
+	// Distinct keys, decrease-keys below every live key and no delete
+	// on an empty heap, so Run applies every op and each slot is known.
+	rng := rand.New(rand.NewSource(17))
+	var ops []Op
+	live := int64(0)
+	for i := 0; i < 120; i++ {
+		switch r := rng.Intn(4); {
+		case live == 0 || r < 2:
+			ops = append(ops, Op{Kind: OpInsert, Key: 1000 + int64(i)})
+			live++
+		case r == 2:
+			ops = append(ops, Op{Kind: OpDecreaseKey, Slot: rng.Int63n(live), Key: -int64(i)})
+		default:
+			ops = append(ops, Op{Kind: OpDeleteMin})
+			live--
+		}
+	}
+	res, err := Run(sys, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != len(ops) || len(batches) != len(ops) {
+		t.Fatalf("%d ops applied, %d batches observed, want %d", res.Ops, len(batches), len(ops))
+	}
+
+	// A shadow heap names each op's slot: an insert charges the new last
+	// slot, a decrease-key its target, a delete-min the slot where the
+	// former last key comes to rest.
+	shadow := New(newSys(t, levels))
+	for i, op := range ops {
+		var slot int64
+		switch op.Kind {
+		case OpInsert:
+			slot = shadow.Len()
+			shadow.Insert(op.Key)
+		case OpDecreaseKey:
+			slot = op.Slot
+			shadow.DecreaseKey(op.Slot, op.Key)
+		case OpDeleteMin:
+			moved := shadow.keys[shadow.Len()-1]
+			shadow.DeleteMin()
+			for idx := int64(0); idx < shadow.Len(); idx++ {
+				if shadow.keys[idx] == moved {
+					slot = idx
+				}
+			}
+		}
+		n := tree.FromHeapIndex(slot)
+		if want := tree.PathNodes(n, n.Level+1); !slices.Equal(batches[i], want) {
+			t.Fatalf("op %d (%+v): observed batch %v, want the path of slot %d %v", i, op, batches[i], slot, want)
+		}
 	}
 }

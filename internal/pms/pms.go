@@ -76,6 +76,9 @@ type System struct {
 
 // SetObserver installs a callback invoked with every submitted batch
 // (before queuing). Used by the trace recorder; pass nil to remove.
+// The slice is valid only during the call: callers such as heapsim
+// reuse it for the next batch, so an observer that keeps a batch must
+// copy it (trace.Recorder.Record does).
 func (s *System) SetObserver(fn func([]tree.Node)) { s.observer = fn }
 
 // SetAccounting installs a domain-metrics recorder ticked with every

@@ -142,7 +142,7 @@ func Run(sys *pms.System, lo, hi int64) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	var nodes []tree.Node
+	nodes := make([]tree.Node, 0, hi-lo+1) // exactly the range's hi-lo+1 nodes
 	comp.Walk(func(n tree.Node) bool {
 		nodes = append(nodes, n)
 		return true

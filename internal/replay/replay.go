@@ -176,11 +176,14 @@ func Load(path string) (*Trace, error) {
 // Tape is the whole-run capture target behind pmsd -record: the
 // server's capture point appends each request on arrival, and Trace
 // returns the taped requests in that order. Unlike the flight
-// recorder's ring it is unbounded, because the run's trace file must
-// hold every request. Safe for concurrent use; a nil *Tape records
-// nothing.
+// recorder's ring it keeps the run's first requests rather than its
+// last: it holds up to maxRecords, the most Decode accepts in one
+// trace, and counts every request past that as dropped, so a long run
+// never saves a trace its own replay rejects. Safe for concurrent use;
+// a nil *Tape records nothing.
 type Tape struct {
 	seed    int64
+	max     int // records kept; appends past it count as drops
 	mu      sync.Mutex
 	records []Record
 	dropped int64
@@ -189,15 +192,20 @@ type Tape struct {
 // NewTape starts an empty tape whose trace header carries seed (the
 // seed of the workload generator that produced the stream, for
 // provenance).
-func NewTape(seed int64) *Tape { return &Tape{seed: seed} }
+func NewTape(seed int64) *Tape { return &Tape{seed: seed, max: maxRecords} }
 
-// Append tapes one request.
+// Append tapes one request, or counts it as dropped once the tape is
+// full.
 func (t *Tape) Append(r Record) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.records = append(t.records, r)
+	if len(t.records) < t.max {
+		t.records = append(t.records, r)
+	} else {
+		t.dropped++
+	}
 	t.mu.Unlock()
 }
 

@@ -47,6 +47,37 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// A full tape counts further appends as drops, so the trace it saves
+// never carries more records than Decode accepts (maxRecords).
+func TestTapeCapsAtMaxRecords(t *testing.T) {
+	if got := NewTape(1).max; got != maxRecords {
+		t.Fatalf("NewTape caps at %d records, want maxRecords %d", got, maxRecords)
+	}
+	tape := NewTape(42)
+	tape.max = 3
+	want := sampleTrace().Records
+	for i := 0; i < 5; i++ {
+		tape.Append(want[i%len(want)])
+	}
+	tr, dropped := tape.Trace()
+	if len(tr.Records) != 3 || dropped != 2 {
+		t.Fatalf("kept %d records and dropped %d, want 3 and 2", len(tr.Records), dropped)
+	}
+	data := Encode(tr)
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if got.Seed != 42 || len(got.Records) != 3 {
+		t.Fatalf("decoded seed %d with %d records, want 42 and 3", got.Seed, len(got.Records))
+	}
+	for i, r := range got.Records {
+		if r.Path != want[i].Path || r.Tenant != want[i].Tenant || !bytes.Equal(r.Body, want[i].Body) {
+			t.Errorf("record %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	data := Encode(sampleTrace())
 

@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -34,9 +36,9 @@ func allocCases() []allocCase {
 		{"color batch", "/v1/color", ColorRequest{Mapping: spec, Nodes: batch}, 42},
 		{"template-cost", "/v1/template-cost", TemplateCostRequest{Mapping: spec, Kind: "S", Size: 7, Anchor: &NodeRef{Index: 1, Level: 2}}, 50},
 		{"simulate", "/v1/simulate", SimulateRequest{Mapping: spec, Batches: [][]int64{{0, 1, 2}, {3, 4}}}, 60},
-		{"heap/run", "/v1/heap/run", HeapRunRequest{Mapping: spec, Ops: ops}, 69},
-		{"heap/workload", "/v1/heap/workload", HeapWorkloadRequest{Mapping: spec, N: 16, Seed: 1}, 75},
-		{"range", "/v1/range", RangeRequest{Mapping: spec, Ranges: [][2]int64{{3, 40}, {100, 180}}}, 96},
+		{"heap/run", "/v1/heap/run", HeapRunRequest{Mapping: spec, Ops: ops}, 66},
+		{"heap/workload", "/v1/heap/workload", HeapWorkloadRequest{Mapping: spec, N: 16, Seed: 1}, 62},
+		{"range", "/v1/range", RangeRequest{Mapping: spec, Ranges: [][2]int64{{3, 40}, {100, 180}}}, 83},
 	}
 }
 
@@ -90,6 +92,64 @@ func TestAllocsPerRequest(t *testing.T) {
 		if got-base > maxTraceAllocs {
 			t.Errorf("%s: tracing adds %v allocations per request (%v traced, %v untraced), want <= %d",
 				tc.name, got-base, got, base, maxTraceAllocs)
+		}
+	}
+}
+
+// bytesPerRequest serves body on path through h, once to warm the
+// mapping and the pools and then runs times, and returns the mean bytes
+// allocated per request.
+func bytesPerRequest(t *testing.T, h http.Handler, path string, body any) uint64 {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveOne := func() {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	serveOne()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		serveOne()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// withMapping returns a copy of a request body with its Mapping field
+// set to spec.
+func withMapping(body any, spec MappingSpec) any {
+	v := reflect.New(reflect.TypeOf(body)).Elem()
+	v.Set(reflect.ValueOf(body))
+	v.FieldByName("Mapping").Set(reflect.ValueOf(spec))
+	return v.Interface()
+}
+
+// TestBytesPerRequest bounds the bytes every endpoint allocates per
+// request on pmsbench's COLOR mapping, color/H=20/m=4. The count pin
+// cannot see one large block: a heap request that sized its keys to
+// the tree made a single 8 MiB allocation at H=20.
+func TestBytesPerRequest(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	srv := New(Config{flightManual: true})
+	defer shutdownServer(t, srv)
+	spec := MappingSpec{Alg: "color", Levels: 20, M: 4}
+	const maxBytes = 64 << 10
+	for _, tc := range allocCases() {
+		got := bytesPerRequest(t, srv.httpSrv.Handler, tc.path, withMapping(tc.body, spec))
+		t.Logf("%s: %d bytes per request", tc.name, got)
+		if got > maxBytes {
+			t.Errorf("%s: %d bytes per request on color/H=20/m=4, want <= %d", tc.name, got, maxBytes)
 		}
 	}
 }

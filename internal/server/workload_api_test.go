@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/colormap"
 	"repro/internal/heapsim"
 	"repro/internal/pms"
@@ -155,6 +156,49 @@ func TestHeapWorkloadMatchesOracle(t *testing.T) {
 		}
 		checkHeapAgainstOracle(t, resp, oracleSystem(t, spec.Levels, spec.M), ops)
 	}
+}
+
+// Both heap endpoints answer on the tallest tree the mapping validator
+// accepts: a heap request costs memory in proportion to its ops, where
+// sizing the keys to the tree asked for an 8 TiB block at 40 levels and
+// killed the process.
+func TestHeapOnFortyLevelTree(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	spec := modSpec(40, 7)
+	oracle := func() *pms.System { return pms.NewSystem(baseline.Modulo(tree.New(spec.Levels), spec.Modules)) }
+	run := HeapRunRequest{Mapping: spec, Ops: []HeapOpRef{
+		{Op: "insert", Key: 9}, {Op: "insert", Key: 3}, {Op: "delete-min"},
+	}}
+	var runResp HeapResponse
+	if status := post(t, ts.Client(), ts.URL+"/v1/heap/run", run, &runResp); status != http.StatusOK {
+		t.Fatalf("heap/run: status %d", status)
+	}
+	ops := make([]heapsim.Op, len(run.Ops))
+	for i, hr := range run.Ops {
+		op, aerr := hr.op()
+		if aerr != nil {
+			t.Fatalf("op %d: %v", i, aerr)
+		}
+		ops[i] = op
+	}
+	checkHeapAgainstOracle(t, runResp, oracle(), ops)
+
+	wl := HeapWorkloadRequest{Mapping: spec, N: 256, Seed: 1}
+	var wlResp HeapResponse
+	if status := post(t, ts.Client(), ts.URL+"/v1/heap/workload", wl, &wlResp); status != http.StatusOK {
+		t.Fatalf("heap/workload: status %d", status)
+	}
+	keys, err := workload.NewKeyStream(workload.Zipf, tree.New(spec.Levels).Nodes(), wl.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops, err = workload.HeapOps(workload.DefaultHeapMix(), wl.N, keys, wl.Seed); err != nil {
+		t.Fatal(err)
+	}
+	checkHeapAgainstOracle(t, wlResp, oracle(), ops)
+	t.Logf("heap/run final_len %d, heap/workload ops %d", runResp.FinalLen, wlResp.Ops)
 }
 
 func TestRangeMatchesOracle(t *testing.T) {

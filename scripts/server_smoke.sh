@@ -7,6 +7,7 @@
 #
 #   1. health + each API endpoint answers 200 with sane payloads, and
 #      /metrics counts each request, and each 400, on its own endpoint;
+#      a heap run on a 40-level tree answers and pmsd stays healthy;
 #   2. a parallel singleton burst must coalesce: across the burst,
 #      /metrics has to show coalesced jobs and fewer flushed batches than
 #      lookups served;
@@ -134,6 +135,20 @@ for want in color=1 template_cost=0 simulate=0 heap_run=0 heap_workload=0 range_
     [ "$got" = "${want#*=}" ] ||
         fail "pmsd_endpoint_errors_4xx_total{endpoint=\"${want%=*}\"} is '$got', want ${want#*=}"
 done
+
+echo "== tall heap"
+# A heap request costs memory in proportion to its ops, at any height
+# the validator accepts: on a 40-level tree (2^40-1 slots) one request
+# must answer and leave the same pmsd healthy. It runs after the
+# endpoint counter check so that check's counts stay as they are.
+TALL='{"alg":"mod","levels":40,"modules":7}'
+reply=$(curl -s -w '\n%{http_code}' -X POST "$BASE/v1/heap/run" \
+    -d '{"mapping":'"$TALL"',"ops":[{"op":"insert","key":9},{"op":"insert","key":3},{"op":"delete-min"}]}' || true)
+code=${reply##*$'\n'}
+[ "$code" = 200 ] || fail "40-level heap run returned '$code', want 200: ${reply%$'\n'*}"
+echo "$reply" | grep -q '"final_len":' || fail "40-level heap run reply malformed: $reply"
+code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz" || true)
+[ "$code" = 200 ] || fail "healthz after the 40-level heap run returned '$code', want 200"
 
 echo "== coalescing burst"
 # 8 concurrent singletons against one spec. The one worker sleeps 100ms
