@@ -91,82 +91,155 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/flightrec"
 	"repro/internal/mapstore"
 	"repro/internal/replay"
 	"repro/internal/server"
 )
 
+// settings is everything pmsd's flags set.
+type settings struct {
+	cfg            server.Config
+	chaos          bool
+	chaosCfg       faultinject.Config
+	store          mapstore.Options
+	storeWarm      int
+	seed           int64
+	logFormat      string
+	record, replay string
+}
+
+// parse binds each flag to the field it sets, checks the values in one
+// ordered list and converts the few that Config takes in other units.
+// Like a malformed flag, a failed check prints its message and the usage
+// and exits 2.
+func parse(args []string) settings {
+	var s settings
+	c, ch, slo := &s.cfg, &s.chaosCfg, &s.cfg.SLO
+	var cacheMB, storeBudget int64
+	var flush, sloP99 time.Duration
+	fs := flag.NewFlagSet("pmsd", flag.ExitOnError)
+	fs.StringVar(&c.Addr, "addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
+	fs.IntVar(&c.Workers, "workers", 0, "worker pool size (0 = default 4)")
+	fs.IntVar(&c.MaxInflight, "max-inflight", 256, "admitted-request limit before 429s")
+	fs.DurationVar(&flush, "flush", 500*time.Microsecond, "alias kept for old scripts: 0 sets -max-batch 1 (no batching); any other value does nothing")
+	fs.IntVar(&c.MaxBatch, "max-batch", 64, "max coalesced batch size (1 disables batching)")
+	fs.Int64Var(&cacheMB, "cache-mb", 256, "mapping registry byte budget, in MiB")
+	fs.DurationVar(&c.WorkerDelay, "worker-delay", 0, "injected per-task latency (load/backpressure testing only)")
+	fs.Float64Var(&c.TraceSampleRate, "trace-sample", 1, "request-trace sampling rate in [0,1] (0 disables tracing)")
+	fs.IntVar(&c.TraceSlowest, "trace-slowest", 32, "slowest-trace buffer size for /debug/requests")
+	fs.Int64Var(&s.seed, "seed", 1, "seed stamped into the -record trace header")
+
+	fs.BoolVar(&c.Controller, "controller", false, "enable the adaptive mapping controller (classify live template mix, shadow-score candidates, migrate registry entries)")
+	fs.DurationVar(&c.ControllerInterval, "controller-interval", 2*time.Second, "controller: policy tick interval")
+	fs.Float64Var(&c.ShadowSampleRate, "shadow-sample", 0.25, "controller: fraction of template traffic sampled for shadow scoring (0 disables sampling)")
+
+	fs.StringVar(&s.store.Dir, "store-dir", "", "disk-tier store directory (empty disables the tier)")
+	fs.Int64Var(&storeBudget, "store-budget", 1024, "disk-tier byte budget, in MiB")
+	fs.DurationVar(&s.store.TTL, "store-ttl", 0, "disk-tier entry TTL (0 keeps entries until the budget evicts them)")
+	fs.IntVar(&s.storeWarm, "store-warm", 64, "warm-start: pre-admit up to this many of the store's hottest specs")
+
+	fs.BoolVar(&c.DisableDomainMetrics, "no-domain-metrics", false, "disable the domain-accounting layer (module loads, conflict histograms, bound monitor)")
+	fs.BoolVar(&s.chaos, "chaos", false, "serve with fault injection enabled")
+	fs.Int64Var(&ch.Seed, "chaos-seed", 1, "chaos: fault schedule seed (same seed = same schedule)")
+	fs.Float64Var(&ch.LatencyProb, "chaos-latency", 0.1, "chaos: per-request latency-spike probability")
+	fs.DurationVar(&ch.LatencyMin, "chaos-latency-min", 10*time.Millisecond, "chaos: min latency spike")
+	fs.DurationVar(&ch.LatencyMax, "chaos-latency-max", 50*time.Millisecond, "chaos: max latency spike")
+	fs.Float64Var(&ch.ErrorProb, "chaos-error", 0, "chaos: per-window 5xx-burst probability")
+	fs.Float64Var(&ch.RateLimitProb, "chaos-rate", 0, "chaos: per-window 429-burst probability")
+	fs.IntVar(&ch.BurstLen, "chaos-burst", 8, "chaos: burst window length in requests")
+	fs.Float64Var(&ch.ResetProb, "chaos-reset", 0, "chaos: per-request connection-reset probability")
+	fs.Float64Var(&ch.DripProb, "chaos-drip", 0, "chaos: per-request slow-body-drip probability")
+	fs.Float64Var(&ch.PartialProb, "chaos-partial", 0, "chaos: per-request partial-body probability")
+
+	fs.StringVar(&s.logFormat, "log-format", "text", "structured log format: text|json")
+	fs.BoolVar(&c.DisableFlightRec, "no-flightrec", false, "disable the always-on flight recorder and SLO watchdog")
+	fs.StringVar(&c.FlightRecDir, "flightrec-dir", "", "directory for watchdog-triggered incident snapshots (empty: breaches are logged and counted but never written)")
+	fs.DurationVar(&slo.Window, "slo-window", 0, "SLO: rolling evaluation window (0 = default 10s)")
+	fs.DurationVar(&slo.Interval, "slo-interval", 0, "SLO: watchdog tick cadence (0 = default 1s)")
+	fs.DurationVar(&sloP99, "slo-p99", 0, "SLO: p99 total-latency target (0 disables the rule)")
+	fs.Float64Var(&slo.ErrorRatePct, "slo-error-rate", 0, "SLO: max 5xx share of a window, percent (0 disables the rule)")
+	fs.Float64Var(&slo.TenantRejectSharePct, "slo-tenant-reject", 0, "SLO: max single-tenant 429 share of a window, percent (0 disables the rule)")
+	fs.IntVar(&slo.MaxMigrations, "slo-max-migrations", 0, "SLO: max controller migrations per window (0 disables the rule)")
+	fs.IntVar(&slo.MinRequests, "slo-min-requests", 0, "SLO: min events in a window before rate/percentile rules may breach (0 = default 20)")
+	fs.DurationVar(&slo.SnapshotMinInterval, "slo-snapshot-every", 0, "SLO: min interval between watchdog incident snapshots (0 = default 30s)")
+
+	fs.StringVar(&s.record, "record", "", "serve mode: record mutating requests into this PMSTRC1 trace file on shutdown")
+	fs.StringVar(&s.replay, "replay", "", "replay a PMSTRC1 trace against a fresh deterministic in-process server, print the digest, exit")
+	fs.IntVar(&c.TenantMaxInflight, "tenant-max-inflight", 0, "per-tenant admitted-request cap (0 = the global limit, i.e. fairness off)")
+	fs.IntVar(&c.MaxTenants, "max-tenants", 64, "bounded per-tenant accounting table size (overflow lands in the 'other' bucket)")
+	_ = fs.Parse(args) // ExitOnError: a malformed flag exits inside Parse
+
+	type check struct {
+		bad bool
+		msg string
+	}
+	prob := func(name string, p float64) check {
+		return check{p < 0 || p > 1, fmt.Sprintf("%s must be a probability in [0,1], got %g", name, p)}
+	}
+	for _, k := range []check{
+		{fs.NArg() > 0, fmt.Sprintf("unexpected arguments: %v", fs.Args())},
+		{s.logFormat != "text" && s.logFormat != "json", fmt.Sprintf("-log-format must be text or json, got %q", s.logFormat)},
+		{c.Workers < 0, fmt.Sprintf("-workers must be non-negative, got %d", c.Workers)},
+		{c.MaxInflight < 1, fmt.Sprintf("-max-inflight must be at least 1, got %d", c.MaxInflight)},
+		{c.MaxBatch < 1, fmt.Sprintf("-max-batch must be at least 1, got %d", c.MaxBatch)},
+		{cacheMB < 1, fmt.Sprintf("-cache-mb must be at least 1, got %d", cacheMB)},
+		{flush < 0 || c.WorkerDelay < 0, "-flush and -worker-delay must be non-negative"},
+		{storeBudget < 1, fmt.Sprintf("-store-budget must be at least 1 MiB, got %d", storeBudget)},
+		{s.store.TTL < 0, "-store-ttl must be non-negative"},
+		{s.storeWarm < 0, fmt.Sprintf("-store-warm must be non-negative, got %d", s.storeWarm)},
+		prob("-trace-sample", c.TraceSampleRate),
+		{c.TraceSlowest < 1, fmt.Sprintf("-trace-slowest must be at least 1, got %d", c.TraceSlowest)},
+		prob("-chaos-latency", ch.LatencyProb),
+		prob("-chaos-error", ch.ErrorProb),
+		prob("-chaos-rate", ch.RateLimitProb),
+		prob("-chaos-reset", ch.ResetProb),
+		prob("-chaos-drip", ch.DripProb),
+		prob("-chaos-partial", ch.PartialProb),
+		{ch.BurstLen < 1, fmt.Sprintf("-chaos-burst must be at least 1, got %d", ch.BurstLen)},
+		// faultinject would silently replace a non-positive min and a max
+		// below the min with its defaults.
+		{ch.LatencyMin <= 0, fmt.Sprintf("-chaos-latency-min must be positive, got %v", ch.LatencyMin)},
+		{ch.LatencyMax < ch.LatencyMin, fmt.Sprintf("-chaos-latency-max must be at least -chaos-latency-min (%v), got %v", ch.LatencyMin, ch.LatencyMax)},
+		{slo.Window < 0 || slo.Interval < 0 || sloP99 < 0 || slo.SnapshotMinInterval < 0, "-slo-window, -slo-interval, -slo-p99 and -slo-snapshot-every must be non-negative"},
+		// The target is kept in whole µs, where a shorter one would read 0
+		// and turn the rule off.
+		{sloP99 > 0 && sloP99 < time.Microsecond, fmt.Sprintf("-slo-p99 must be 0 or at least 1µs, got %v", sloP99)},
+		{slo.ErrorRatePct < 0 || slo.ErrorRatePct > 100 || slo.TenantRejectSharePct < 0 || slo.TenantRejectSharePct > 100, "-slo-error-rate and -slo-tenant-reject are percentages in [0,100]"},
+		{slo.MaxMigrations < 0 || slo.MinRequests < 0, "-slo-max-migrations and -slo-min-requests must be non-negative"},
+		{c.ControllerInterval <= 0, fmt.Sprintf("-controller-interval must be positive, got %v", c.ControllerInterval)},
+		prob("-shadow-sample", c.ShadowSampleRate),
+		{c.Controller && c.DisableDomainMetrics, "-controller needs the domain accounting layer; drop -no-domain-metrics"},
+		{c.TenantMaxInflight < 0, fmt.Sprintf("-tenant-max-inflight must be non-negative, got %d", c.TenantMaxInflight)},
+		{c.MaxTenants < 1, fmt.Sprintf("-max-tenants must be at least 1, got %d", c.MaxTenants)},
+	} {
+		if k.bad {
+			fmt.Fprintln(fs.Output(), k.msg)
+			fs.Usage()
+			os.Exit(2)
+		}
+	}
+
+	c.CacheBudgetBytes = cacheMB << 20
+	s.store.BudgetBytes = storeBudget << 20
+	slo.P99TargetUS = sloP99.Microseconds()
+	if flush == 0 {
+		c.MaxBatch = 1
+	}
+	// Config reads a zero rate as "default"; a negative one disables.
+	if c.TraceSampleRate == 0 {
+		c.TraceSampleRate = -1
+	}
+	if c.ShadowSampleRate == 0 {
+		c.ShadowSampleRate = -1
+	}
+	return s
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = default 4)")
-	maxInflight := flag.Int("max-inflight", 256, "admitted-request limit before 429s")
-	flush := flag.Duration("flush", 500*time.Microsecond, "alias kept for old scripts: 0 sets -max-batch 1 (no batching); any other value does nothing")
-	maxBatch := flag.Int("max-batch", 64, "max coalesced batch size (1 disables batching)")
-	cacheMB := flag.Int64("cache-mb", 256, "mapping registry byte budget, in MiB")
-	workerDelay := flag.Duration("worker-delay", 0, "injected per-task latency (load/backpressure testing only)")
-	traceSample := flag.Float64("trace-sample", 1, "request-trace sampling rate in [0,1] (0 disables tracing)")
-	traceSlowest := flag.Int("trace-slowest", 32, "slowest-trace buffer size for /debug/requests")
-	seed := flag.Int64("seed", 1, "seed stamped into the -record trace header")
-
-	controller := flag.Bool("controller", false, "enable the adaptive mapping controller (classify live template mix, shadow-score candidates, migrate registry entries)")
-	controllerInterval := flag.Duration("controller-interval", 2*time.Second, "controller: policy tick interval")
-	shadowSample := flag.Float64("shadow-sample", 0.25, "controller: fraction of template traffic sampled for shadow scoring (0 disables sampling)")
-
-	storeDir := flag.String("store-dir", "", "disk-tier store directory (empty disables the tier)")
-	storeBudget := flag.Int64("store-budget", 1024, "disk-tier byte budget, in MiB")
-	storeTTL := flag.Duration("store-ttl", 0, "disk-tier entry TTL (0 keeps entries until the budget evicts them)")
-	storeWarm := flag.Int("store-warm", 64, "warm-start: pre-admit up to this many of the store's hottest specs")
-
-	noDomainMetrics := flag.Bool("no-domain-metrics", false, "disable the domain-accounting layer (module loads, conflict histograms, bound monitor)")
-	chaos := flag.Bool("chaos", false, "serve with fault injection enabled")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: fault schedule seed (same seed = same schedule)")
-	chaosLatency := flag.Float64("chaos-latency", 0.1, "chaos: per-request latency-spike probability")
-	chaosLatencyMin := flag.Duration("chaos-latency-min", 10*time.Millisecond, "chaos: min latency spike")
-	chaosLatencyMax := flag.Duration("chaos-latency-max", 50*time.Millisecond, "chaos: max latency spike")
-	chaosError := flag.Float64("chaos-error", 0, "chaos: per-window 5xx-burst probability")
-	chaosRate := flag.Float64("chaos-rate", 0, "chaos: per-window 429-burst probability")
-	chaosBurst := flag.Int("chaos-burst", 8, "chaos: burst window length in requests")
-	chaosReset := flag.Float64("chaos-reset", 0, "chaos: per-request connection-reset probability")
-	chaosDrip := flag.Float64("chaos-drip", 0, "chaos: per-request slow-body-drip probability")
-	chaosPartial := flag.Float64("chaos-partial", 0, "chaos: per-request partial-body probability")
-
-	logFormat := flag.String("log-format", "text", "structured log format: text|json")
-	noFlightRec := flag.Bool("no-flightrec", false, "disable the always-on flight recorder and SLO watchdog")
-	flightDir := flag.String("flightrec-dir", "", "directory for watchdog-triggered incident snapshots (empty: breaches are logged and counted but never written)")
-	sloWindow := flag.Duration("slo-window", 0, "SLO: rolling evaluation window (0 = default 10s)")
-	sloInterval := flag.Duration("slo-interval", 0, "SLO: watchdog tick cadence (0 = default 1s)")
-	sloP99 := flag.Duration("slo-p99", 0, "SLO: p99 total-latency target (0 disables the rule)")
-	sloErrorRate := flag.Float64("slo-error-rate", 0, "SLO: max 5xx share of a window, percent (0 disables the rule)")
-	sloTenantReject := flag.Float64("slo-tenant-reject", 0, "SLO: max single-tenant 429 share of a window, percent (0 disables the rule)")
-	sloMaxMigrations := flag.Int("slo-max-migrations", 0, "SLO: max controller migrations per window (0 disables the rule)")
-	sloMinRequests := flag.Int("slo-min-requests", 0, "SLO: min events in a window before rate/percentile rules may breach (0 = default 20)")
-	sloSnapshotEvery := flag.Duration("slo-snapshot-every", 0, "SLO: min interval between watchdog incident snapshots (0 = default 30s)")
-
-	recordFile := flag.String("record", "", "serve mode: record mutating requests into this PMSTRC1 trace file on shutdown")
-	replayFile := flag.String("replay", "", "replay a PMSTRC1 trace against a fresh deterministic in-process server, print the digest, exit")
-	tenantMaxInflight := flag.Int("tenant-max-inflight", 0, "per-tenant admitted-request cap (0 = the global limit, i.e. fairness off)")
-	maxTenants := flag.Int("max-tenants", 64, "bounded per-tenant accounting table size (overflow lands in the 'other' bucket)")
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
-	}
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
-	}
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
+	s := parse(os.Args[1:])
+	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
+	if s.logFormat == "json" {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		fail("-log-format must be text or json, got %q", *logFormat)
 	}
 	logger := slog.New(handler)
 	slog.SetDefault(logger)
@@ -174,135 +247,12 @@ func main() {
 		logger.Error(err.Error())
 		os.Exit(1)
 	}
-	if *workers < 0 {
-		fail("-workers must be non-negative, got %d", *workers)
-	}
-	if *maxInflight < 1 {
-		fail("-max-inflight must be at least 1, got %d", *maxInflight)
-	}
-	if *maxBatch < 1 {
-		fail("-max-batch must be at least 1, got %d", *maxBatch)
-	}
-	if *cacheMB < 1 {
-		fail("-cache-mb must be at least 1, got %d", *cacheMB)
-	}
-	if *flush < 0 || *workerDelay < 0 {
-		fail("-flush and -worker-delay must be non-negative")
-	}
-	if *storeBudget < 1 {
-		fail("-store-budget must be at least 1 MiB, got %d", *storeBudget)
-	}
-	if *storeTTL < 0 {
-		fail("-store-ttl must be non-negative")
-	}
-	if *storeWarm < 0 {
-		fail("-store-warm must be non-negative, got %d", *storeWarm)
-	}
-	if *traceSample < 0 || *traceSample > 1 {
-		fail("-trace-sample must be a probability in [0,1], got %g", *traceSample)
-	}
-	if *traceSlowest < 1 {
-		fail("-trace-slowest must be at least 1, got %d", *traceSlowest)
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"-chaos-latency", *chaosLatency}, {"-chaos-error", *chaosError},
-		{"-chaos-rate", *chaosRate}, {"-chaos-reset", *chaosReset},
-		{"-chaos-drip", *chaosDrip}, {"-chaos-partial", *chaosPartial},
-	} {
-		if p.v < 0 || p.v > 1 {
-			fail("%s must be a probability in [0,1], got %g", p.name, p.v)
-		}
-	}
-	if *chaosBurst < 1 {
-		fail("-chaos-burst must be at least 1, got %d", *chaosBurst)
-	}
-	chaosCfg := faultinject.Config{
-		Seed:          *chaosSeed,
-		LatencyProb:   *chaosLatency,
-		LatencyMin:    *chaosLatencyMin,
-		LatencyMax:    *chaosLatencyMax,
-		ErrorProb:     *chaosError,
-		RateLimitProb: *chaosRate,
-		BurstLen:      *chaosBurst,
-		ResetProb:     *chaosReset,
-		DripProb:      *chaosDrip,
-		PartialProb:   *chaosPartial,
-	}
+	cfg := &s.cfg
+	cfg.Logger = logger
 
-	cfg := server.Config{
-		Addr:             *addr,
-		Workers:          *workers,
-		MaxInflight:      *maxInflight,
-		MaxBatch:         *maxBatch,
-		CacheBudgetBytes: *cacheMB << 20,
-		WorkerDelay:      *workerDelay,
-		TraceSampleRate:  *traceSample,
-		TraceSlowest:     *traceSlowest,
-
-		TenantMaxInflight: *tenantMaxInflight,
-		MaxTenants:        *maxTenants,
-
-		DisableDomainMetrics: *noDomainMetrics,
-
-		Controller:         *controller,
-		ControllerInterval: *controllerInterval,
-		ShadowSampleRate:   *shadowSample,
-
-		DisableFlightRec: *noFlightRec,
-		FlightRecDir:     *flightDir,
-		SLO: flightrec.SLOConfig{
-			Window:               *sloWindow,
-			Interval:             *sloInterval,
-			MinRequests:          *sloMinRequests,
-			P99TargetUS:          sloP99.Microseconds(),
-			ErrorRatePct:         *sloErrorRate,
-			TenantRejectSharePct: *sloTenantReject,
-			MaxMigrations:        *sloMaxMigrations,
-			SnapshotMinInterval:  *sloSnapshotEvery,
-		},
-		Logger: logger,
-	}
-	if *sloWindow < 0 || *sloInterval < 0 || *sloP99 < 0 || *sloSnapshotEvery < 0 {
-		fail("-slo-window, -slo-interval, -slo-p99 and -slo-snapshot-every must be non-negative")
-	}
-	if *sloErrorRate < 0 || *sloErrorRate > 100 || *sloTenantReject < 0 || *sloTenantReject > 100 {
-		fail("-slo-error-rate and -slo-tenant-reject are percentages in [0,100]")
-	}
-	if *sloMaxMigrations < 0 || *sloMinRequests < 0 {
-		fail("-slo-max-migrations and -slo-min-requests must be non-negative")
-	}
-	if *controllerInterval <= 0 {
-		fail("-controller-interval must be positive, got %v", *controllerInterval)
-	}
-	if *shadowSample < 0 || *shadowSample > 1 {
-		fail("-shadow-sample must be a probability in [0,1], got %g", *shadowSample)
-	}
-	if *shadowSample == 0 {
-		cfg.ShadowSampleRate = -1 // Config treats 0 as "default"; negative disables
-	}
-	if *controller && *noDomainMetrics {
-		fail("-controller needs the domain accounting layer; drop -no-domain-metrics")
-	}
-	if *flush == 0 {
-		cfg.MaxBatch = 1
-	}
-	if *traceSample == 0 {
-		cfg.TraceSampleRate = -1 // same idiom: 0 means "default" to Config
-	}
-
-	if *tenantMaxInflight < 0 {
-		fail("-tenant-max-inflight must be non-negative, got %d", *tenantMaxInflight)
-	}
-	if *maxTenants < 1 {
-		fail("-max-tenants must be at least 1, got %d", *maxTenants)
-	}
-
-	if *replayFile != "" {
+	if s.replay != "" {
 		tr0 := time.Now()
-		res, checks, violations, err := server.ReplayFile(cfg, *replayFile)
+		res, checks, violations, err := server.ReplayFile(*cfg, s.replay)
 		if err != nil {
 			fatal(err)
 		}
@@ -318,37 +268,33 @@ func main() {
 		return
 	}
 
-	if *chaos {
-		inj := faultinject.New(chaosCfg)
+	if s.chaos {
+		inj := faultinject.New(s.chaosCfg)
 		cfg.Middleware = inj.Middleware
 		// Stamp the fault schedule into incident snapshots so pmsdoctor
 		// -replay can rebuild the exact same chaos during reproduction.
-		if ccJSON, err := json.Marshal(chaosCfg); err == nil {
+		if ccJSON, err := json.Marshal(s.chaosCfg); err == nil {
 			cfg.FlightRecMeta = map[string]string{server.ChaosConfigMetaKey: string(ccJSON)}
 		}
-		logger.Info("pmsd CHAOS MODE: "+inj.String(), "seed", *chaosSeed)
+		logger.Info("pmsd CHAOS MODE: "+inj.String(), "seed", s.chaosCfg.Seed)
 	}
-	if *recordFile != "" {
+	if s.record != "" {
 		// The capture point sits outside chaos and admission, so the tape
 		// holds every offered request, including ones later refused.
-		cfg.Tape = replay.NewTape(*seed)
-		logger.Info("pmsd recording mutating requests to "+*recordFile, "file", *recordFile)
+		cfg.Tape = replay.NewTape(s.seed)
+		logger.Info("pmsd recording mutating requests to "+s.record, "file", s.record)
 	}
-	if *storeDir != "" {
-		st, err := mapstore.Open(mapstore.Options{
-			Dir:         *storeDir,
-			BudgetBytes: *storeBudget << 20,
-			TTL:         *storeTTL,
-		})
+	if s.store.Dir != "" {
+		st, err := mapstore.Open(s.store)
 		if err != nil {
 			fatal(fmt.Errorf("store: %w", err))
 		}
 		cfg.Store = st
-		logger.Info("pmsd store at "+*storeDir, "dir", *storeDir, "budget_mib", *storeBudget)
+		logger.Info("pmsd store at "+s.store.Dir, "dir", s.store.Dir, "budget_mib", s.store.BudgetBytes>>20)
 	}
-	srv := server.New(cfg)
-	if cfg.Store != nil && *storeWarm > 0 {
-		if admitted := srv.WarmStart(*storeWarm); admitted > 0 {
+	srv := server.New(*cfg)
+	if cfg.Store != nil && s.storeWarm > 0 {
+		if admitted := srv.WarmStart(s.storeWarm); admitted > 0 {
 			logger.Info(fmt.Sprintf("pmsd warm start: %d mappings pre-admitted from the store", admitted), "admitted", admitted)
 		}
 	}
@@ -372,10 +318,10 @@ func main() {
 	}
 	if cfg.Tape != nil {
 		trace, dropped := cfg.Tape.Trace()
-		if err := trace.Save(*recordFile); err != nil {
+		if err := trace.Save(s.record); err != nil {
 			fatal(fmt.Errorf("saving trace: %w", err))
 		}
-		logger.Info("pmsd trace saved to "+*recordFile, "recorded", len(trace.Records), "dropped", dropped)
+		logger.Info("pmsd trace saved to "+s.record, "recorded", len(trace.Records), "dropped", dropped)
 	}
 	logger.Info("pmsd stopped")
 }

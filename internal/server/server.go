@@ -109,8 +109,8 @@ type Config struct {
 	// request, priced by pmsbench's ablation.domain_p50_us.
 	DisableDomainMetrics bool
 	// TraceSampleRate is the fraction of requests traced by the obsv
-	// layer (default 1.0 — full-sampling overhead is a few µs against
-	// millisecond requests; negative disables tracing).
+	// layer (default 1.0; negative disables tracing). Full sampling is
+	// priced by pmsbench's ablation.obsv_p50_us.
 	TraceSampleRate float64
 	// TraceSlowest is how many of the slowest complete traces
 	// /debug/requests retains (default 32).
